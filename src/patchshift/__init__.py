@@ -43,6 +43,7 @@ from .patterns import (
     parse_pattern_text,
     pattern_hash,
     pattern_metrics,
+    resolve_pattern,
     tile_offsets,
 )
 from .shifts import (
@@ -70,7 +71,6 @@ from .tensor import (
     reshape,
     scale,
     softmax,
-    stack,
     swap_last,
     transpose,
 )

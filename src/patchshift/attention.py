@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ContractError, ShapeError
 from .patterns import ShiftPattern, tile_offsets
-from .shifts import ShiftDirection, patch_shift
+from .shifts import source_frames
 from .tensor import (
     Tape,
     Tensor,
@@ -26,7 +26,6 @@ from .tensor import (
     reshape,
     scale,
     softmax,
-    stack,
     swap_last,
     transpose,
 )
@@ -108,70 +107,86 @@ class AttentionParams:
 
 
 def relpos_index(layout: WindowLayout, src_frames: np.ndarray, t_max: int) -> np.ndarray:
-    """Flat bias-table indices for every (query, key) pair in one window.
+    """Flat bias-table indices for every (query, key) pair of stacked windows.
 
-    Tokens are ordered row-major within the window; the temporal coordinate
-    of each token is its source frame, which is what makes the bias follow
-    shifted patches.
+    src_frames is (..., wh, ww) and the result (..., n, n).  Tokens are
+    ordered row-major within the window; the temporal coordinate of each
+    token is its source frame, which is what makes the bias follow shifted
+    patches.
     """
     wh, ww = layout.height, layout.width
-    src = np.asarray(src_frames, dtype=np.int64).ravel()
-    if src.size != layout.tokens:
-        raise ShapeError(f"{src.size} source frames for a {wh}x{ww} window")
+    src = np.asarray(src_frames, dtype=np.int64)
+    if src.shape[-2:] != (wh, ww):
+        raise ShapeError(f"source frames {src.shape} do not end in a {wh}x{ww} window")
     if src.size and (src.min() < 0 or src.max() >= t_max):
         raise ContractError(f"source frames must lie in [0, {t_max})")
+    src = src.reshape(*src.shape[:-2], layout.tokens)
     rows = np.arange(layout.tokens) // ww
     cols = np.arange(layout.tokens) % ww
-    dt = src[None, :] - src[:, None]
+    dt = src[..., None, :] - src[..., :, None]
     dr = rows[None, :] - rows[:, None]
     dc = cols[None, :] - cols[:, None]
-    if np.abs(dt).max(initial=0) > t_max - 1:
-        raise ContractError("temporal displacement outside bias table")
     return ((dt + t_max - 1) * (2 * wh - 1) + (dr + wh - 1)) * (2 * ww - 1) + (dc + ww - 1)
 
 
-def window_mhsa(tape: Tape | None, x: Tensor, params: AttentionParams, index: np.ndarray) -> Tensor:
-    """Multi-head self-attention over one window of n tokens.
+def _heads_axes(ndim: int) -> tuple[int, ...]:
+    # (..., a, b, hd) <-> (..., b, a, hd): tokens and heads trade places.
+    return (*range(ndim - 3), ndim - 2, ndim - 3, ndim - 1)
 
-    scores = (x W_q)(x W_k)^T / sqrt(d) + bias[index]; the softmax rows are
-    convex weights over the window's values.
+
+def _split_heads(tape: Tape | None, x: Tensor, params: AttentionParams) -> tuple[Tensor, Tensor, Tensor]:
+    """Q, K, V of tokens (..., n, D), each as (..., heads, n, D/heads).
+
+    Every token goes through each projection in one (m, D) product.
     """
-    if x.ndim != 2:
-        raise ShapeError(f"window tokens must be (n, D), got {x.shape}")
-    n, d = x.shape
+    d = params.dim
+    rows = reshape(tape, x, (x.size // d, d))
+    split = (*x.shape[:-1], params.heads, params.head_dim)
+    axes = _heads_axes(len(split))
+    return tuple(
+        transpose(tape, reshape(tape, matmul(tape, rows, w, label="proj"), split), axes)
+        for w in (params.w_q, params.w_k, params.w_v)
+    )
+
+
+def _merge_heads(tape: Tape | None, ctx: Tensor, params: AttentionParams, shape: tuple[int, ...]) -> Tensor:
+    """Inverse of _split_heads for the context (..., heads, n, D/heads), then W_out."""
+    d = params.dim
+    merged = reshape(tape, transpose(tape, ctx, _heads_axes(ctx.ndim)), (ctx.size // d, d))
+    return reshape(tape, matmul(tape, merged, params.w_out, label="proj"), shape)
+
+
+def window_mhsa(tape: Tape | None, x: Tensor, params: AttentionParams, index: np.ndarray) -> Tensor:
+    """Multi-head self-attention inside each of a stack of n-token windows.
+
+    x is (..., n, D) and index broadcasts to (..., n, n).  Per window,
+    scores = (x W_q)(x W_k)^T / sqrt(d) + bias[index]; the softmax rows are
+    convex weights over that window's values.
+    """
+    if x.ndim < 2:
+        raise ShapeError(f"window tokens must be (..., n, D), got {x.shape}")
+    *lead, n, d = x.shape
     if d != params.dim:
         raise ShapeError(f"token dim {d} != params dim {params.dim}")
     index = np.asarray(index, dtype=np.int64)
-    if index.shape != (n, n):
-        raise ShapeError(f"bias index map must be ({n}, {n}), got {index.shape}")
+    try:
+        index = np.broadcast_to(index, (*lead, n, n))
+    except ValueError:
+        raise ShapeError(
+            f"bias index map {index.shape} does not broadcast to {(*lead, n, n)}"
+        ) from None
     heads, hd = params.heads, params.head_dim
     table_size = params.bias_table.size // heads
     if index.size and (index.min() < 0 or index.max() >= table_size):
         raise ContractError("bias index outside table")
 
-    def split(t: Tensor) -> Tensor:
-        return transpose(tape, reshape(tape, t, (n, heads, hd)), (1, 0, 2))
-
-    q = split(matmul(tape, x, params.w_q, label="proj"))
-    k = split(matmul(tape, x, params.w_k, label="proj"))
-    v = split(matmul(tape, x, params.w_v, label="proj"))
-
+    q, k, v = _split_heads(tape, x, params)
     scores = scale(tape, matmul(tape, q, swap_last(tape, k), label="score"), 1.0 / math.sqrt(hd))
-    flat_idx = (np.arange(heads)[:, None, None] * table_size + index[None]).ravel()
-    bias = gather(tape, params.bias_table, flat_idx, (heads, n, n))
+    flat_idx = np.arange(heads)[:, None, None] * table_size + index[..., None, :, :]
+    bias = gather(tape, params.bias_table, flat_idx, scores.shape)
     weights = softmax(tape, add(tape, scores, bias), axis=-1)
     ctx = matmul(tape, weights, v, label="agg")
-    merged = reshape(tape, transpose(tape, ctx, (1, 0, 2)), (n, d))
-    return matmul(tape, merged, params.w_out, label="proj")
-
-
-def _window_token_indices(
-    t: int, r0: int, c0: int, layout: WindowLayout, grid_h: int, grid_w: int, dim: int
-) -> np.ndarray:
-    rows = r0 + np.arange(layout.height)
-    cols = c0 + np.arange(layout.width)
-    site = (t * grid_h + rows)[:, None] * grid_w + cols[None, :]
-    return (site.reshape(-1, 1) * dim + np.arange(dim)[None, :]).ravel()
+    return _merge_heads(tape, ctx, params, x.shape)
 
 
 def patch_shift_attention(
@@ -183,17 +198,20 @@ def patch_shift_attention(
 ) -> Tensor:
     """Shift patches, attend inside spatial windows, shift back.
 
-    The pattern must tile the window so every window sees the same offset
-    layout; the caller owns the residual connection.
+    The shift composed with the window partition is one gather, every
+    window of every frame is one batched window_mhsa call, and the merge
+    composed with the inverse shift is the inverse gather.  The pattern
+    must tile the window so every window sees the same offset layout; the
+    caller owns the residual connection.
     """
     if z.ndim != 4:
         raise ShapeError(f"token tensor must be (T, H, W, D), got {z.shape}")
     t_len, grid_h, grid_w, d = z.shape
     layout.check_divides(grid_h, grid_w)
-    if layout.height % pattern.height or layout.width % pattern.width:
+    wh, ww = layout.height, layout.width
+    if wh % pattern.height or ww % pattern.width:
         raise ShapeError(
-            f"pattern {pattern.height}x{pattern.width} does not tile "
-            f"window {layout.height}x{layout.width}"
+            f"pattern {pattern.height}x{pattern.width} does not tile window {wh}x{ww}"
         )
     if d != params.dim:
         raise ShapeError(f"token dim {d} != params dim {params.dim}")
@@ -202,31 +220,19 @@ def patch_shift_attention(
             f"bias table covers {params.t_max} frames, tokens have {t_len}"
         )
 
-    grid = tile_offsets(pattern, grid_h, grid_w)
-    shifted = patch_shift(tape, z, grid, ShiftDirection.FORWARD)
+    # src[t, r, c]: the frame whose (r, c) patch sits at (t, r, c) once shifted.
+    src = source_frames(tile_offsets(pattern, grid_h, grid_w), t_len)
+    site = (src * grid_h + np.arange(grid_h)[:, None]) * grid_w + np.arange(grid_w)
+    n_windows = (grid_h // wh) * (grid_w // ww)
+    site = site.reshape(t_len, grid_h // wh, wh, grid_w // ww, ww).transpose(0, 1, 3, 2, 4)
+    partition = (site.reshape(t_len, n_windows, layout.tokens, 1) * d + np.arange(d)).ravel()
+    windows = gather(tape, z, partition, (t_len, n_windows, layout.tokens, d))
 
-    # Window-local source frames: identical for every window at a given t
-    # because the pattern tiles the window.
-    local = tile_offsets(pattern, layout.height, layout.width)
-    outputs = []
-    for t in range(t_len):
-        src = (t + local) % t_len
-        index = relpos_index(layout, src, params.t_max)
-        for r0 in range(0, grid_h, layout.height):
-            for c0 in range(0, grid_w, layout.width):
-                idx = _window_token_indices(t, r0, c0, layout, grid_h, grid_w, d)
-                xw = gather(tape, shifted, idx, (layout.tokens, d))
-                outputs.append(window_mhsa(tape, xw, params, index))
+    # Every window at a given t has the same source frames because the
+    # pattern tiles the window, so the first window's stand for the frame's.
+    index = relpos_index(layout, src[:, None, :wh, :ww], params.t_max)
+    out = window_mhsa(tape, windows, params, index)
 
-    # Reassemble (stacked windows, token, channel) back into (T, H, W, D).
-    piled = stack(tape, outputs)
-    n_wc = grid_w // layout.width
-    tt, rr, cc = np.meshgrid(
-        np.arange(t_len), np.arange(grid_h), np.arange(grid_w), indexing="ij"
-    )
-    w_idx = (tt * (grid_h // layout.height) + rr // layout.height) * n_wc + cc // layout.width
-    k_idx = (rr % layout.height) * layout.width + cc % layout.width
-    src_flat = ((w_idx * layout.tokens + k_idx)[..., None] * d + np.arange(d)).ravel()
-    merged = gather(tape, piled, src_flat, (t_len, grid_h, grid_w, d))
-
-    return patch_shift(tape, merged, grid, ShiftDirection.INVERSE)
+    merge = np.empty_like(partition)
+    merge[partition] = np.arange(partition.size)
+    return gather(tape, out, merge, z.shape)

@@ -30,11 +30,9 @@ from .model import (
 from .oracle import COMPLEXITY_KINDS, complexity_estimate, mac_profile
 from .patterns import (
     build_pattern,
-    builtin_names,
-    format_pattern_text,
-    parse_pattern_text,
     pattern_hash,
     pattern_metrics,
+    resolve_pattern,
     tile_offsets,
 )
 from .tensor import Tensor
@@ -60,15 +58,6 @@ def _parse_hw(text: str) -> tuple[int, int]:
         raise ContractError(f"expected HxW, got {text!r}") from exc
 
 
-def _resolve_pattern_arg(spec: str):
-    if spec in builtin_names():
-        return build_pattern(spec)
-    path = Path(spec)
-    if path.is_file():
-        return parse_pattern_text(path.read_text(), name=path.stem)
-    raise ContractError(f"pattern {spec!r} is neither a built-in name nor a pattern file")
-
-
 def _write_pgm(path: Path, grid: np.ndarray) -> None:
     """Grayscale render: the smallest offset maps to black, the largest to white."""
     lo, hi = int(grid.min()), int(grid.max())
@@ -85,7 +74,7 @@ def _write_pgm(path: Path, grid: np.ndarray) -> None:
 
 def cmd_pattern(args) -> int:
     try:
-        pattern = _resolve_pattern_arg(args.name)
+        pattern = resolve_pattern(args.name)
         grid = pattern.offsets
         if args.grid:
             gh, gw = _parse_hw(args.grid)
@@ -193,7 +182,7 @@ def _build_run(config: dict):
     if "window" in model_dict:
         model_dict["window"] = tuple(model_dict["window"])
     if "pattern" in model_dict:
-        _resolve_pattern_arg(str(model_dict["pattern"]))  # unknown name = config error
+        resolve_pattern(str(model_dict["pattern"]))  # unknown name = config error
     model_dict.setdefault("classes", task.classes)
     model_dict.setdefault("frames", task.frames)
     model_dict.setdefault("height", task.height)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .attention import AttentionParams, WindowLayout, patch_shift_attention
 from .errors import ContractError, ShapeError
-from .patterns import ShiftPattern, build_pattern, builtin_names, pattern_hash
+from .patterns import ShiftPattern, build_pattern, pattern_hash, resolve_pattern
 from .shifts import ShiftDirection, channel_shift, shifted_channels
 from .tensor import (
     Tape,
@@ -131,17 +131,6 @@ def _trunc_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
     return out
 
 
-def _resolve_pattern(spec: str) -> ShiftPattern:
-    from .patterns import parse_pattern_text
-
-    if spec in builtin_names():
-        return build_pattern(spec)
-    path = Path(spec)
-    if path.is_file():
-        return parse_pattern_text(path.read_text(), name=path.stem)
-    raise ContractError(f"pattern {spec!r} is neither a built-in name nor a pattern file")
-
-
 class Model:
     """Config + named parameter tensors + the resolved shift pattern."""
 
@@ -152,7 +141,7 @@ class Model:
 
     @classmethod
     def init(cls, config: ModelConfig, seed: int) -> "Model":
-        pattern = _resolve_pattern(config.pattern)
+        pattern = resolve_pattern(config.pattern)
         t_len, grid_h, grid_w = config.token_extents()
         wh, ww = config.window
         WindowLayout(wh, ww).check_divides(grid_h, grid_w)
@@ -211,7 +200,12 @@ class Model:
         )
 
     def logits(self, tape: Tape | None, video: Tensor) -> Tensor:
-        return model_logits(tape, self.config, self.params, self.pattern, video)
+        """video (F, H, W, 3) -> class logits (classes,)."""
+        z = tubelet_embed(tape, self.config, self.params, video)
+        for i, mode in enumerate(self.config.block_modes()):
+            z = encoder_block(tape, self, i, z, mode)
+        pooled = mean(tape, z, (0, 1, 2))
+        return affine(tape, pooled, self.params["head.w"], self.params["head.b"])
 
 
 _NONE_PATTERN = build_pattern("none")
@@ -278,22 +272,6 @@ def encoder_block(
     return add(tape, h, f)
 
 
-def model_logits(
-    tape: Tape | None,
-    config: ModelConfig,
-    params: dict[str, Tensor],
-    pattern: ShiftPattern,
-    video: Tensor,
-) -> Tensor:
-    """video (F, H, W, 3) -> class logits (classes,)."""
-    model = Model(config, params, pattern)
-    z = tubelet_embed(tape, config, params, video)
-    for i, mode in enumerate(config.block_modes()):
-        z = encoder_block(tape, model, i, z, mode)
-    pooled = mean(tape, z, (0, 1, 2))
-    return affine(tape, pooled, params["head.w"], params["head.b"])
-
-
 def train_step(
     model: Model,
     batch,
@@ -334,6 +312,9 @@ def evaluate(model: Model, samples) -> float:
     """Top-1 accuracy of argmax predictions over (video, label) pairs."""
     if not samples:
         raise ContractError("no samples to evaluate")
+    classes = model.config.classes
+    if any(not 0 <= label < classes for _, label in samples):
+        raise ContractError(f"label out of range [0, {classes})")
     hits = 0
     for video, label in samples:
         logits = model.logits(None, video if isinstance(video, Tensor) else Tensor(video))
@@ -406,10 +387,19 @@ def load_checkpoint(path) -> Model:
     config = ModelConfig(**cfg_dict)
     pattern = ShiftPattern(header["pattern"]["name"], np.array(header["pattern"]["grid"]))
     params = {}
+    end = 0
     for entry in header["tensors"]:
         shape = tuple(entry["shape"])
         size = int(np.prod(shape, dtype=np.int64)) if shape else 1
         start = entry["offset"]
+        end = max(end, start + 8 * size)
+        if start < 0 or end > len(blob):
+            raise ContractError(
+                f"checkpoint blob holds {len(blob)} bytes, tensor {entry['name']!r} "
+                f"needs bytes {start} to {start + 8 * size}"
+            )
         arr = np.frombuffer(blob, dtype="<f8", count=size, offset=start).reshape(shape)
         params[entry["name"]] = Tensor(arr)
+    if end != len(blob):
+        raise ContractError(f"checkpoint blob holds {len(blob)} bytes, tensor directory covers {end}")
     return Model(config, params, pattern)

@@ -21,10 +21,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .attention import AttentionParams, WindowLayout
+from .attention import AttentionParams, WindowLayout, _merge_heads, _split_heads
 from .errors import ContractError, ShapeError
 from .patterns import ShiftPattern, tile_offsets
-from .tensor import Tape, Tensor, matmul, reshape, softmax, swap_last, transpose
+from .tensor import Tape, Tensor, matmul, reshape, softmax, swap_last
 
 __all__ = [
     "gather_sets",
@@ -108,22 +108,12 @@ def joint_attention(tape: Tape | None, z: Tensor, params: AttentionParams) -> Te
     t_len, grid_h, grid_w, d = z.shape
     if d != params.dim:
         raise ShapeError(f"token dim {d} != params dim {params.dim}")
-    m = t_len * grid_h * grid_w
-    heads, hd = params.heads, params.head_dim
-    tokens = reshape(tape, z, (m, d))
-
-    def split(t: Tensor) -> Tensor:
-        return transpose(tape, reshape(tape, t, (m, heads, hd)), (1, 0, 2))
-
-    q = split(matmul(tape, tokens, params.w_q, label="proj"))
-    k = split(matmul(tape, tokens, params.w_k, label="proj"))
-    v = split(matmul(tape, tokens, params.w_v, label="proj"))
+    tokens = reshape(tape, z, (t_len * grid_h * grid_w, d))
+    q, k, v = _split_heads(tape, tokens, params)
     scores = matmul(tape, q, swap_last(tape, k), label="score")
     weights = softmax(tape, scores, axis=-1)  # scale folded out: cost reference only
     ctx = matmul(tape, weights, v, label="agg")
-    merged = reshape(tape, transpose(tape, ctx, (1, 0, 2)), (m, d))
-    out = matmul(tape, merged, params.w_out, label="proj")
-    return reshape(tape, out, (t_len, grid_h, grid_w, d))
+    return _merge_heads(tape, ctx, params, z.shape)
 
 
 COMPLEXITY_KINDS = ("joint", "divide", "sparse_local", "patchshift")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -20,6 +21,7 @@ __all__ = [
     "ShiftPattern",
     "PatternMetrics",
     "build_pattern",
+    "resolve_pattern",
     "builtin_names",
     "tile_offsets",
     "pattern_metrics",
@@ -106,6 +108,16 @@ def build_pattern(kind: str, grid=None) -> ShiftPattern:
     if grid is not None:
         raise ContractError("offset grid is only accepted for kind 'custom'")
     return ShiftPattern(kind, factory())
+
+
+def resolve_pattern(spec: str) -> ShiftPattern:
+    """A built-in pattern by name, or the pattern in the text file at path spec."""
+    if spec in builtin_names():
+        return build_pattern(spec)
+    path = Path(spec)
+    if path.is_file():
+        return parse_pattern_text(path.read_text(), name=path.stem)
+    raise ContractError(f"pattern {spec!r} is neither a built-in name nor a pattern file")
 
 
 def tile_offsets(pattern: ShiftPattern, grid_h: int, grid_w: int) -> np.ndarray:

@@ -30,7 +30,6 @@ __all__ = [
     "scale",
     "reshape",
     "gather",
-    "stack",
     "transpose",
     "swap_last",
     "softmax",
@@ -284,26 +283,6 @@ def gather(tape: Tape | None, x: Tensor, flat_index: np.ndarray, out_shape: Sequ
     )
 
 
-def stack(tape: Tape | None, tensors: Sequence[Tensor]) -> Tensor:
-    """Stack same-shape tensors along a new leading axis."""
-    if not tensors:
-        raise ShapeError("stack needs at least one tensor")
-    shape = tensors[0].shape
-    for t in tensors:
-        if t.shape != shape:
-            raise ShapeError(f"stack mismatch: {t.shape} vs {shape}")
-    datas = [t.data for t in tensors]
-    y = np.stack(datas)
-    if tape is None:
-        return Tensor._wrap(y)
-    return tape.emit(
-        y,
-        tuple(tensors),
-        lambda g: tuple(g[i] for i in range(len(datas))),
-        lambda: np.stack(datas),
-    )
-
-
 def transpose(tape: Tape | None, x: Tensor, axes: Sequence[int]) -> Tensor:
     """Axis permutation, expressed as a gather so the adjoint is exact."""
     axes = tuple(axes)
@@ -388,10 +367,10 @@ def gelu(tape: Tape | None, x: Tensor) -> Tensor:
     xd = x.data
 
     def forward():
-        u = _GELU_C * (xd + 0.044715 * xd**3)
+        u = _GELU_C * (xd + 0.044715 * (xd * xd * xd))
         return 0.5 * xd * (1.0 + np.tanh(u))
 
-    u = _GELU_C * (xd + 0.044715 * xd**3)
+    u = _GELU_C * (xd + 0.044715 * (xd * xd * xd))
     th = np.tanh(u)
     y = 0.5 * xd * (1.0 + th)
     if tape is None:

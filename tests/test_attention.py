@@ -107,6 +107,19 @@ class TestRelposIndex:
     def test_wrong_count(self):
         with pytest.raises(ShapeError):
             relpos_index(WindowLayout(2, 2), np.zeros((1, 2), dtype=int), t_max=2)
+        with pytest.raises(ShapeError):  # stacked, but the window is 2x1
+            relpos_index(WindowLayout(2, 2), np.zeros((3, 2, 2, 1), dtype=int), t_max=2)
+
+    def test_stacked_windows_match_single_calls(self):
+        layout = WindowLayout(2, 3)
+        src = np.random.default_rng(12).integers(0, 4, size=(3, 2, 2, 3))
+        idx = relpos_index(layout, src, t_max=4)
+        assert idx.shape == (3, 2, 6, 6)
+        for t in range(3):
+            for w in range(2):
+                np.testing.assert_array_equal(idx[t, w], relpos_index(layout, src[t, w], 4))
+        with pytest.raises(ContractError):
+            relpos_index(layout, src + 1, t_max=4)
 
 
 class TestWindowMHSA:
@@ -151,6 +164,22 @@ class TestWindowMHSA:
         expected = out @ p.w_out.data
         np.testing.assert_allclose(got.data, expected, atol=1e-12)
 
+    def test_stacked_windows_match_single_calls(self):
+        # (T, nW, n, D) tokens with one index map per frame, broadcast over
+        # that frame's windows.
+        rng = np.random.default_rng(13)
+        layout = WindowLayout(2, 2)
+        p = make_params(rng, 8, 2, 3, layout)
+        x = Tensor(rng.normal(size=(3, 2, 4, 8)))
+        src = rng.integers(0, 3, size=(3, 1, 2, 2))
+        idx = relpos_index(layout, src, 3)
+        got = window_mhsa(None, x, p, idx)
+        assert got.shape == x.shape
+        for t in range(3):
+            for w in range(2):
+                one = window_mhsa(None, Tensor(x.data[t, w]), p, idx[t, 0])
+                np.testing.assert_allclose(got.data[t, w], one.data, atol=1e-12)
+
     def test_bias_reweights_attention(self):
         rng = np.random.default_rng(4)
         layout = WindowLayout(2, 1)
@@ -176,6 +205,10 @@ class TestWindowMHSA:
             window_mhsa(None, Tensor(np.zeros((3, 8))), p, idx)
         with pytest.raises(ContractError):
             window_mhsa(None, Tensor(np.zeros((4, 8))), p, np.full((4, 4), 10**6))
+        with pytest.raises(ShapeError):  # one index map per window, but 3 vs 2 windows
+            window_mhsa(None, Tensor(np.zeros((2, 4, 8))), p, np.stack([idx] * 3))
+        with pytest.raises(ShapeError):
+            window_mhsa(None, Tensor(np.zeros(8)), p, idx)
 
 
 class TestPatchShiftAttention:
@@ -260,3 +293,16 @@ class TestPatchShiftAttention:
         tape = Tape()
         patch_shift_attention(tape, z, build_pattern("bayerA"), layout, p)
         assert tape.replay_matches()
+
+    def test_tape_length_does_not_grow_with_windows(self):
+        # All windows of all frames run as one batch: a 4x4 grid cut into
+        # 2x2 windows records as many primitives as one 4x4 window.
+        rng = np.random.default_rng(12)
+        z = Tensor(rng.normal(size=(3, 4, 4, 8)))
+        lengths = []
+        for layout in (WindowLayout(4, 4), WindowLayout(2, 2)):
+            p = make_params(rng, 8, 2, 3, layout)
+            tape = Tape()
+            patch_shift_attention(tape, z, build_pattern("bayerA"), layout, p)
+            lengths.append(len(tape.records))
+        assert lengths[0] == lengths[1]

@@ -194,6 +194,25 @@ class TestEval:
         assert main(["eval", "--checkpoint", str(tmp_path / "no.ckpt"),
                      "--data", str(tmp_path / "no")]) == USAGE_ERROR
 
+    def test_truncated_checkpoint_is_usage_error(self, capsys, artifacts, tmp_path):
+        ckpt, stem = artifacts
+        cut = tmp_path / "cut.ckpt"
+        cut.write_bytes(ckpt.read_bytes()[:-100])
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(cut), "--data", str(stem)]) == USAGE_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad checkpoint:") and err.count("\n") == 1
+
+    def test_out_of_range_label_is_data_error(self, capsys, artifacts):
+        ckpt, stem = artifacts
+        sidecar = stem.with_suffix(".json")
+        meta = json.loads(sidecar.read_text())
+        meta["labels"][-1] = 7
+        sidecar.write_text(json.dumps(meta))
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(stem)]) == DATA_ERROR
+        assert "label out of range" in capsys.readouterr().err
+
     def test_shape_mismatch_is_data_error(self, capsys, artifacts, tmp_path):
         ckpt, _ = artifacts
         other = tmp_path / "big"

@@ -288,6 +288,14 @@ class TestTraining:
         pairs = [(random_video(rng, cfg), 0), (random_video(rng, cfg), 1)]
         assert evaluate(m, pairs) == 0.5
 
+    @pytest.mark.parametrize("label", [-1, 2, 7])
+    def test_evaluate_rejects_out_of_range_label(self, label):
+        rng = np.random.default_rng(14)
+        cfg = tiny_config()
+        m = Model.init(cfg, seed=8)
+        with pytest.raises(ContractError, match="label out of range"):
+            evaluate(m, [(random_video(rng, cfg), 0), (random_video(rng, cfg), label)])
+
 
 class TestPackUnpack:
     def test_round_trip(self):
@@ -350,3 +358,18 @@ class TestCheckpoint:
         header = json.loads(path.read_bytes().split(b"\n", 1)[0])
         assert header["format"] == CHECKPOINT_FORMAT
         assert header["pattern"]["name"] == "bayerA"
+
+    @pytest.mark.parametrize("cut", [1, 8, 200])
+    def test_rejects_truncated_blob(self, tmp_path, cut):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, Model.init(tiny_config(), seed=0))
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(ContractError, match="blob holds"):
+            load_checkpoint(path)
+
+    def test_rejects_trailing_bytes(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, Model.init(tiny_config(), seed=0))
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(ContractError, match="tensor directory covers"):
+            load_checkpoint(path)

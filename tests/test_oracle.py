@@ -1,9 +1,12 @@
 """Brute-force attention reference and the MAC/buffer complexity model."""
 
 import json
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from patchshift.attention import (
     AttentionParams,
@@ -23,7 +26,7 @@ from patchshift.oracle import (
     mac_profile,
     oracle_attention,
 )
-from patchshift.patterns import build_pattern
+from patchshift.patterns import build_pattern, builtin_names
 from patchshift.tensor import Tape, Tensor, matmul
 
 
@@ -82,9 +85,13 @@ class TestOracleAttention:
         ("even2", 3, (2, 4), (2, 2), 6, 1),
         ("C9", 5, (3, 3), (3, 3), 12, 4),
         ("none", 2, (2, 2), (2, 2), 4, 2),
+        ("center_one", 3, (6, 3), (3, 3), 6, 2),
+        ("uneven_half", 3, (4, 4), (2, 2), 4, 1),
+        ("B4", 4, (4, 8), (4, 4), 8, 2),
+        ("D16", 5, (4, 4), (4, 4), 4, 1),
     ])
     def test_matches_fast_pipeline(self, kind, t_len, grid, window, dim, heads):
-        rng = np.random.default_rng(hash((kind, t_len)) % 2**32)
+        rng = np.random.default_rng(zlib.crc32(f"{kind}/{t_len}".encode()))
         pattern = build_pattern(kind)
         layout = WindowLayout(*window)
         params = make_params(rng, dim, heads, t_max=t_len, layout=layout)
@@ -92,6 +99,30 @@ class TestOracleAttention:
         fast = patch_shift_attention(None, z, pattern, layout, params)
         slow = oracle_attention(z, pattern, layout, params)
         np.testing.assert_allclose(fast.data, slow, atol=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kind=st.sampled_from(builtin_names()),
+        reps=st.tuples(*[st.integers(1, 2)] * 4),
+        t_len=st.integers(1, 4),
+        heads=st.integers(1, 2),
+        head_dim=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_matches_oracle(self, kind, reps, t_len, heads, head_dim, seed):
+        # The window repeats the pattern, the grid repeats the window; the
+        # oracle's per-pair loops bound windows to 16 tokens.
+        pattern = build_pattern(kind)
+        layout = WindowLayout(pattern.height * reps[0], pattern.width * reps[1])
+        assume(layout.tokens <= 16)
+        grid = (layout.height * reps[2], layout.width * reps[3])
+        rng = np.random.default_rng(seed)
+        dim = heads * head_dim
+        params = make_params(rng, dim, heads, t_max=t_len, layout=layout)
+        z = Tensor(rng.normal(size=(t_len, *grid, dim)))
+        fast = patch_shift_attention(None, z, pattern, layout, params)
+        slow = oracle_attention(z, pattern, layout, params)
+        assert np.abs(fast.data - slow).max() <= 1e-9
 
     def test_zero_offsets_match_per_frame_windows(self):
         rng = np.random.default_rng(7)

@@ -20,7 +20,6 @@ from patchshift.tensor import (
     reshape,
     scale,
     softmax,
-    stack,
     swap_last,
     transpose,
 )
@@ -107,14 +106,6 @@ class TestForwardValues:
             gather(None, t, np.array([6]), (1,))
         with pytest.raises(ShapeError):
             gather(None, t, np.array([0, 1]), (3,))
-
-    def test_stack(self):
-        y = stack(None, [Tensor([1.0, 2.0]), Tensor([3.0, 4.0])])
-        np.testing.assert_array_equal(y.data, [[1.0, 2.0], [3.0, 4.0]])
-        with pytest.raises(ShapeError):
-            stack(None, [Tensor([1.0]), Tensor([1.0, 2.0])])
-        with pytest.raises(ShapeError):
-            stack(None, [])
 
     def test_transpose_and_swap_last(self):
         rng = np.random.default_rng(2)
