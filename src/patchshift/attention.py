@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ContractError, ShapeError
 from .patterns import ShiftPattern, tile_offsets
-from .shifts import source_frames
+from .shifts import _check_tokens, _clip_offsets, source_frames
 from .tensor import (
     Tape,
     Tensor,
@@ -198,15 +198,14 @@ def patch_shift_attention(
 ) -> Tensor:
     """Shift patches, attend inside spatial windows, shift back.
 
-    The shift composed with the window partition is one gather, every
-    window of every frame is one batched window_mhsa call, and the merge
-    composed with the inverse shift is the inverse gather.  The pattern
-    must tile the window so every window sees the same offset layout; the
-    caller owns the residual connection.
+    z is (..., T, H, W, D): optional leading clip axes, then one clip's
+    tokens.  The shift composed with the window partition is one gather,
+    every window of every frame of every clip is one batched window_mhsa
+    call, and the merge composed with the inverse shift is the inverse
+    gather.  The pattern must tile the window so every window sees the same
+    offset layout; the caller owns the residual connection.
     """
-    if z.ndim != 4:
-        raise ShapeError(f"token tensor must be (T, H, W, D), got {z.shape}")
-    t_len, grid_h, grid_w, d = z.shape
+    t_len, grid_h, grid_w, d = _check_tokens(z)
     layout.check_divides(grid_h, grid_w)
     wh, ww = layout.height, layout.width
     if wh % pattern.height or ww % pattern.width:
@@ -226,13 +225,16 @@ def patch_shift_attention(
     n_windows = (grid_h // wh) * (grid_w // ww)
     site = site.reshape(t_len, grid_h // wh, wh, grid_w // ww, ww).transpose(0, 1, 3, 2, 4)
     partition = (site.reshape(t_len, n_windows, layout.tokens, 1) * d + np.arange(d)).ravel()
-    windows = gather(tape, z, partition, (t_len, n_windows, layout.tokens, d))
+    merge = np.empty_like(partition)
+    merge[partition] = np.arange(partition.size)
+    offsets = _clip_offsets(z)
+    lead = z.shape[:-4]
+    windows = gather(
+        tape, z, offsets + partition, (*lead, t_len, n_windows, layout.tokens, d)
+    )
 
     # Every window at a given t has the same source frames because the
     # pattern tiles the window, so the first window's stand for the frame's.
     index = relpos_index(layout, src[:, None, :wh, :ww], params.t_max)
     out = window_mhsa(tape, windows, params, index)
-
-    merge = np.empty_like(partition)
-    merge[partition] = np.arange(partition.size)
-    return gather(tape, out, merge, z.shape)
+    return gather(tape, out, offsets + merge, z.shape)

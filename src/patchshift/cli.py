@@ -281,7 +281,7 @@ def cmd_run(args) -> int:
 def cmd_eval(args) -> int:
     try:
         model = load_checkpoint(args.checkpoint)
-    except (OSError, json.JSONDecodeError, KeyError, ContractError) as exc:
+    except (OSError, ContractError) as exc:
         return _fail(f"bad checkpoint: {exc}", USAGE_ERROR)
     try:
         spec, _, samples = load_dataset(args.data)
@@ -294,7 +294,7 @@ def cmd_eval(args) -> int:
         split = {"train": slice(0, spec.train_count), "val": slice(spec.train_count, None)}
         chosen = samples[split[args.split]]
         top1 = evaluate(model, [(s.video, s.label) for s in chosen])
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         return _fail(f"bad dataset: {exc}", USAGE_ERROR)
     except (ContractError, ShapeError) as exc:
         return _fail(str(exc), DATA_ERROR)

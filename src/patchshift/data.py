@@ -14,12 +14,13 @@ chance; only the step-size profile over time separates the classes.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, ShapeError
+from .errors import ContractError, ShapeError, check_keys
 
 __all__ = [
     "TASKS",
@@ -191,21 +192,51 @@ def save_dataset(stem, spec: TaskSpec, seed: int, samples) -> tuple[Path, Path]:
     return sidecar, blob
 
 
+_SIDECAR_KEYS = {"format", "spec", "seed", "count", "video_shape", "labels", "sample_seeds"}
+
+
 def load_dataset(stem) -> tuple[TaskSpec, int, list[SyntheticSample]]:
+    """Read a dataset written by save_dataset and check the sidecar against the blob.
+
+    The sidecar must hold exactly the keys save_dataset writes and a spec of
+    exactly the TaskSpec fields (else ContractError).  The clip count must
+    be the spec's train + val count, with one label and one sample seed per
+    clip, the video shape must be the spec's, and the blob must hold exactly
+    that many float64 clips (else ShapeError).
+    """
     stem = Path(stem)
     sidecar = stem.with_suffix(".json")
     blob = stem.with_suffix(".bin")
     meta = json.loads(sidecar.read_text())
-    if meta.get("format") != DATASET_FORMAT:
+    if not isinstance(meta, dict) or meta.get("format") != DATASET_FORMAT:
         raise ContractError(f"not a dataset sidecar: {sidecar}")
-    spec = TaskSpec(**meta["spec"])
-    shape = tuple(meta["video_shape"])
-    per = int(np.prod(shape))
-    raw = np.frombuffer(blob.read_bytes(), dtype="<f8")
-    if raw.size != per * meta["count"]:
-        raise ShapeError(
-            f"blob holds {raw.size} floats, sidecar promises {per * meta['count']}"
-        )
+    check_keys("dataset sidecar", meta, _SIDECAR_KEYS)
+    if not isinstance(meta["spec"], dict):
+        raise ContractError("dataset spec must be a JSON object")
+    check_keys("dataset spec", meta["spec"], [f.name for f in fields(TaskSpec)])
+    try:
+        spec = TaskSpec(**meta["spec"])
+    except (TypeError, ValueError) as exc:
+        raise ContractError(f"bad dataset spec: {exc}") from None
+    count = spec.train_count + spec.val_count
+    if meta["count"] != count:
+        raise ShapeError(f"sidecar count {meta['count']} != spec train + val {count}")
+    for key in ("labels", "sample_seeds"):
+        entries = meta[key]
+        if not isinstance(entries, list) or len(entries) != count or not all(
+            isinstance(v, int) and not isinstance(v, bool) for v in entries
+        ):
+            raise ShapeError(f"sidecar {key} must list one integer for each of {count} clips")
+    shape = spec.video_shape()
+    if meta["video_shape"] != list(shape):
+        raise ShapeError(f"sidecar video shape {meta['video_shape']} != spec {list(shape)}")
+    data = blob.read_bytes()
+    if len(data) % 8:
+        raise ShapeError(f"blob holds {len(data)} bytes, not a whole number of floats")
+    raw = np.frombuffer(data, dtype="<f8")
+    per = math.prod(shape)
+    if raw.size != per * count:
+        raise ShapeError(f"blob holds {raw.size} floats, sidecar promises {per * count}")
     samples = [
         SyntheticSample(raw[i * per : (i + 1) * per].reshape(shape).copy(), label, s)
         for i, (label, s) in enumerate(zip(meta["labels"], meta["sample_seeds"]))

@@ -11,13 +11,14 @@ across variants by construction.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .attention import AttentionParams, WindowLayout, patch_shift_attention
-from .errors import ContractError, ShapeError
+from .errors import ContractError, ShapeError, check_keys
 from .patterns import ShiftPattern, build_pattern, pattern_hash, resolve_pattern
 from .shifts import ShiftDirection, channel_shift, shifted_channels
 from .tensor import (
@@ -31,6 +32,7 @@ from .tensor import (
     layer_norm,
     mean,
     reshape,
+    transpose,
 )
 
 __all__ = [
@@ -51,6 +53,9 @@ VARIANTS = ("avgpool", "patch_only", "channel_only", "combined")
 
 FFN_RATIO = 4
 INIT_STD = 0.02
+# Token sites (clips x T x grid_h x grid_w) one training tape or inference
+# forward holds at most: bounds tape memory while batching small clips.
+TAPE_SITES = 64
 CHECKPOINT_FORMAT = "patchshift-checkpoint-v1"
 
 
@@ -131,6 +136,54 @@ def _trunc_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
     return out
 
 
+def _check_geometry(config: ModelConfig, pattern: ShiftPattern) -> None:
+    """Windows tile the token grid, the pattern tiles a window, the channel split is whole."""
+    _, grid_h, grid_w = config.token_extents()
+    wh, ww = config.window
+    WindowLayout(wh, ww).check_divides(grid_h, grid_w)
+    if wh % pattern.height or ww % pattern.width:
+        raise ShapeError(
+            f"pattern {pattern.height}x{pattern.width} does not tile window {wh}x{ww}"
+        )
+    shifted_channels(config.dim, config.channel_ratio)
+
+
+def _param_layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
+    """(name, shape, fill) of every parameter, in init and checkpoint order.
+
+    fill is "normal" (truncated normal, drawn in this order), "zeros" or
+    "ones".
+    """
+    t_len, grid_h, grid_w = config.token_extents()
+    wh, ww = config.window
+    d, hidden = config.dim, FFN_RATIO * config.dim
+    bias = (config.heads, 2 * t_len - 1, 2 * wh - 1, 2 * ww - 1)
+    # Positional table is spatial-only and broadcast over frames: the
+    # no-shift baseline must treat frames identically, so temporal order
+    # can only enter through the shift operators.
+    out = [
+        ("embed.w", (d, config.token_dim_in()), "normal"),
+        ("embed.b", (d,), "zeros"),
+        ("embed.pos", (grid_h, grid_w, d), "normal"),
+    ]
+    for i in range(config.depth):
+        out += [(f"block{i}.ln1.g", (d,), "ones"), (f"block{i}.ln1.b", (d,), "zeros")]
+        out += [(f"block{i}.attn.{w}", (d, d), "normal") for w in ("wq", "wk", "wv", "wo")]
+        out += [
+            (f"block{i}.attn.bias", bias, "zeros"),
+            (f"block{i}.ln2.g", (d,), "ones"),
+            (f"block{i}.ln2.b", (d,), "zeros"),
+            (f"block{i}.ffn.w1", (hidden, d), "normal"),
+            (f"block{i}.ffn.b1", (hidden,), "zeros"),
+            (f"block{i}.ffn.w2", (d, hidden), "normal"),
+            (f"block{i}.ffn.b2", (d,), "zeros"),
+        ]
+    # Classifier head starts at zero, so an untrained model emits all-zero
+    # logits and the initial loss is exactly log(classes).
+    out += [("head.w", (config.classes, d), "zeros"), ("head.b", (config.classes,), "zeros")]
+    return out
+
+
 class Model:
     """Config + named parameter tensors + the resolved shift pattern."""
 
@@ -142,47 +195,14 @@ class Model:
     @classmethod
     def init(cls, config: ModelConfig, seed: int) -> "Model":
         pattern = resolve_pattern(config.pattern)
-        t_len, grid_h, grid_w = config.token_extents()
-        wh, ww = config.window
-        WindowLayout(wh, ww).check_divides(grid_h, grid_w)
-        if wh % pattern.height or ww % pattern.width:
-            raise ShapeError(
-                f"pattern {pattern.height}x{pattern.width} does not tile window {wh}x{ww}"
-            )
-        shifted_channels(config.dim, config.channel_ratio)  # validate early
-
+        _check_geometry(config, pattern)
         rng = np.random.default_rng(seed)
-        d = config.dim
         p: dict[str, Tensor] = {}
-
-        def weight(name, shape):
-            p[name] = Tensor(_trunc_normal(rng, shape, INIT_STD))
-
-        def zeros(name, shape):
-            p[name] = Tensor(np.zeros(shape))
-
-        weight("embed.w", (d, config.token_dim_in()))
-        zeros("embed.b", (d,))
-        # Positional table is spatial-only and broadcast over frames: the
-        # no-shift baseline must treat frames identically, so temporal order
-        # can only enter through the shift operators.
-        weight("embed.pos", (grid_h, grid_w, d))
-        for i in range(config.depth):
-            p[f"block{i}.ln1.g"] = Tensor(np.ones(d))
-            zeros(f"block{i}.ln1.b", (d,))
-            for w in ("wq", "wk", "wv", "wo"):
-                weight(f"block{i}.attn.{w}", (d, d))
-            zeros(f"block{i}.attn.bias", (config.heads, 2 * t_len - 1, 2 * wh - 1, 2 * ww - 1))
-            p[f"block{i}.ln2.g"] = Tensor(np.ones(d))
-            zeros(f"block{i}.ln2.b", (d,))
-            weight(f"block{i}.ffn.w1", (FFN_RATIO * d, d))
-            zeros(f"block{i}.ffn.b1", (FFN_RATIO * d,))
-            weight(f"block{i}.ffn.w2", (d, FFN_RATIO * d))
-            zeros(f"block{i}.ffn.b2", (d,))
-        # Classifier head starts at zero, so an untrained model emits all-zero
-        # logits and the initial loss is exactly log(classes).
-        zeros("head.w", (config.classes, d))
-        zeros("head.b", (config.classes,))
+        for name, shape, fill in _param_layout(config):
+            if fill == "normal":
+                p[name] = Tensor(_trunc_normal(rng, shape, INIT_STD))
+            else:
+                p[name] = Tensor(np.full(shape, 1.0 if fill == "ones" else 0.0))
         return cls(config, p, pattern)
 
     def param_count(self) -> int:
@@ -200,11 +220,15 @@ class Model:
         )
 
     def logits(self, tape: Tape | None, video: Tensor) -> Tensor:
-        """video (F, H, W, 3) -> class logits (classes,)."""
+        """video (..., F, H, W, 3) -> class logits (..., classes).
+
+        Leading axes index clips; (F, H, W, 3) gives (classes,) and
+        (B, F, H, W, 3) gives (B, classes).
+        """
         z = tubelet_embed(tape, self.config, self.params, video)
         for i, mode in enumerate(self.config.block_modes()):
             z = encoder_block(tape, self, i, z, mode)
-        pooled = mean(tape, z, (0, 1, 2))
+        pooled = mean(tape, z, (-4, -3, -2))
         return affine(tape, pooled, self.params["head.w"], self.params["head.b"])
 
 
@@ -214,28 +238,28 @@ _NONE_PATTERN = build_pattern("none")
 def tubelet_embed(
     tape: Tape | None, config: ModelConfig, params: dict[str, Tensor], video: Tensor
 ) -> Tensor:
-    """Fold non-overlapping s x k x k x 3 blocks into tokens, project, add positions."""
+    """Fold non-overlapping s x k x k x 3 blocks into tokens, project, add positions.
+
+    video is (..., F, H, W, 3) and the tokens (..., T, grid_h, grid_w, D).
+    """
     expected = (config.frames, config.height, config.width, 3)
-    if video.shape != expected:
-        raise ShapeError(f"video shape {video.shape} != config {expected}")
+    if video.shape[-4:] != expected:
+        raise ShapeError(f"video shape {video.shape} does not end in config {expected}")
+    lead = video.shape[:-4]
     t_len, grid_h, grid_w = config.token_extents()
     s, k = config.tubelet_t, config.tubelet_s
 
-    f_i, r_i, c_i, fs, rs, cs, ch = np.meshgrid(
-        np.arange(t_len), np.arange(grid_h), np.arange(grid_w),
-        np.arange(s), np.arange(k), np.arange(k), np.arange(3),
-        indexing="ij",
-    )
-    flat = (((f_i * s + fs) * config.height + (r_i * k + rs)) * config.width
-            + (c_i * k + cs)) * 3 + ch
-    folded = gather(
-        tape, video, flat, (t_len, grid_h, grid_w, config.token_dim_in())
-    )
+    blocks = reshape(tape, video, (*lead, t_len, s, grid_h, k, grid_w, k, 3))
+    n = len(lead)
+    # (t, s, r, k, c, k, 3) -> (t, r, c, s, k, k, 3) behind the clip axes
+    axes = (*range(n), *(n + a for a in (0, 2, 4, 1, 3, 5, 6)))
+    folded = transpose(tape, blocks, axes)
+    folded = reshape(tape, folded, (*lead, t_len, grid_h, grid_w, config.token_dim_in()))
     tokens = affine(tape, folded, params["embed.w"], params["embed.b"])
 
     pos = params["embed.pos"]
-    rep = np.tile(np.arange(pos.size), t_len)
-    pos_all = gather(tape, pos, rep, (t_len, grid_h, grid_w, config.dim))
+    rep = np.tile(np.arange(pos.size), tokens.size // pos.size)
+    pos_all = gather(tape, pos, rep, tokens.shape)
     return add(tape, tokens, pos_all)
 
 
@@ -272,6 +296,48 @@ def encoder_block(
     return add(tape, h, f)
 
 
+def _clip_chunks(model: Model, samples):
+    """(videos, labels) chunks of (video, label) pairs, stacked on a clip axis.
+
+    A chunk holds at most TAPE_SITES token sites (at least one clip), which
+    bounds what one tape holds while still running many small clips as one
+    forward.
+    """
+    cfg = model.config
+    t_len, grid_h, grid_w = cfg.token_extents()
+    size = max(1, TAPE_SITES // (t_len * grid_h * grid_w))
+    expected = (cfg.frames, cfg.height, cfg.width, 3)
+    for lo in range(0, len(samples), size):
+        part = samples[lo : lo + size]
+        videos = [v.data if isinstance(v, Tensor) else np.asarray(v) for v, _ in part]
+        for v in videos:
+            if v.shape != expected:
+                raise ShapeError(f"video shape {v.shape} != config {expected}")
+        yield Tensor(np.stack(videos)), np.array([label for _, label in part])
+
+
+def _add_chunk_gradient(model: Model, videos: Tensor, labels, share: float, sums) -> float:
+    """sums += share * gradient of the chunk's mean loss; returns that loss.
+
+    The tape and its gradients die on return, so the next chunk runs
+    without them.  The first chunk's weighted gradients become the sums
+    while its tape is still alive: these long-lived arrays then sit above
+    the tape's memory, and the allocator hands that memory to the next
+    chunk instead of returning it to the OS and faulting it back in.
+    """
+    tape = Tape()
+    loss = cross_entropy(tape, model.logits(tape, videos), labels)
+    grads = tape.backward(loss)
+    for name, t in model.params.items():
+        g = share * grads[t]
+        acc = sums.get(name)
+        if acc is None:
+            sums[name] = g
+        else:
+            acc += g
+    return loss.item()
+
+
 def train_step(
     model: Model,
     batch,
@@ -281,31 +347,27 @@ def train_step(
 ) -> float:
     """One SGD step on a batch of (video, label) pairs; returns mean loss.
 
-    Gradients are averaged over the batch in a fixed order; with lr 0 the
-    parameters are reproduced bit-exactly.
+    Clips run in chunks (see _clip_chunks), one tape each; the chunk
+    gradients, weighted by their share of the batch, are summed in a fixed
+    order.  With lr 0 the parameters are reproduced bit-exactly.
     """
     if not batch:
         raise ContractError("empty batch")
-    sums = {name: np.zeros(t.shape) for name, t in model.params.items()}
-    losses = []
-    for video, label in batch:
-        tape = Tape()
-        logits = model.logits(tape, video if isinstance(video, Tensor) else Tensor(video))
-        loss = cross_entropy(tape, reshape(tape, logits, (1, logits.size)), [label])
-        grads = tape.backward(loss)
-        for name, t in model.params.items():
-            sums[name] += grads[t]
-        losses.append(loss.item())
+    sums: dict[str, np.ndarray] = {}
+    loss = 0.0
+    for videos, labels in _clip_chunks(model, batch):
+        share = len(labels) / len(batch)
+        loss += share * _add_chunk_gradient(model, videos, labels, share, sums)
 
-    inv = 1.0 / len(batch)
     for name, t in model.params.items():
-        g = sums[name] * inv
+        g = sums[name]
         if velocity is not None:
             v = velocity.get(name)
-            g = g if v is None else momentum * v + g
+            if v is not None:
+                g += momentum * v  # in place: the sums become the velocity
             velocity[name] = g
         model.params[name] = Tensor(t.data - lr * g)
-    return float(np.mean(losses))
+    return loss
 
 
 def evaluate(model: Model, samples) -> float:
@@ -316,9 +378,9 @@ def evaluate(model: Model, samples) -> float:
     if any(not 0 <= label < classes for _, label in samples):
         raise ContractError(f"label out of range [0, {classes})")
     hits = 0
-    for video, label in samples:
-        logits = model.logits(None, video if isinstance(video, Tensor) else Tensor(video))
-        hits += int(np.argmax(logits.data) == label)
+    for videos, labels in _clip_chunks(model, samples):
+        logits = model.logits(None, videos)
+        hits += int((np.argmax(logits.data, axis=-1) == labels).sum())
     return hits / len(samples)
 
 
@@ -375,31 +437,90 @@ def save_checkpoint(path, model: Model) -> None:
             fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
 
 
+def _checkpoint_config(raw) -> ModelConfig:
+    """The ModelConfig of a checkpoint header; exactly its fields, nothing else."""
+    if not isinstance(raw, dict):
+        raise ContractError("checkpoint config must be a JSON object")
+    check_keys("checkpoint config", raw, [f.name for f in fields(ModelConfig)])
+    cfg = dict(raw)
+    try:
+        cfg["window"] = tuple(cfg["window"])
+        return ModelConfig(**cfg)
+    except (TypeError, ValueError) as exc:
+        raise ContractError(f"bad checkpoint config: {exc}") from None
+
+
+def _checkpoint_pattern(raw) -> ShiftPattern:
+    """The shift pattern of a checkpoint header, checked against its stored hash."""
+    if not isinstance(raw, dict) or set(raw) != {"name", "grid", "hash"}:
+        raise ContractError("checkpoint pattern must hold exactly name, grid and hash")
+    try:
+        pattern = ShiftPattern(str(raw["name"]), np.array(raw["grid"], dtype=np.int64))
+    except (TypeError, ValueError) as exc:
+        raise ContractError(f"bad checkpoint pattern grid: {exc}") from None
+    if pattern_hash(pattern) != raw["hash"]:
+        raise ContractError(
+            f"checkpoint pattern {pattern.name!r} grid does not match its stored hash"
+        )
+    return pattern
+
+
 def load_checkpoint(path) -> Model:
+    """Read a checkpoint and check it against the model its config describes.
+
+    The header must hold exactly the config fields, a pattern grid that
+    matches its hash, and a tensor directory naming every parameter of
+    Model.init(config) with its shape, laid out over the whole blob.  Any
+    mismatch raises ContractError.
+    """
     path = Path(path)
     with path.open("rb") as fh:
-        header = json.loads(fh.readline().decode())
+        line = fh.readline()
         blob = fh.read()
-    if header.get("format") != CHECKPOINT_FORMAT:
+    try:
+        header = json.loads(line.decode())
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        header = None
+    if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
         raise ContractError(f"not a checkpoint file: {path}")
-    cfg_dict = dict(header["config"])
-    cfg_dict["window"] = tuple(cfg_dict["window"])
-    config = ModelConfig(**cfg_dict)
-    pattern = ShiftPattern(header["pattern"]["name"], np.array(header["pattern"]["grid"]))
+    config = _checkpoint_config(header.get("config"))
+    pattern = _checkpoint_pattern(header.get("pattern"))
+    try:
+        _check_geometry(config, pattern)
+    except ShapeError as exc:
+        raise ContractError(f"checkpoint config does not fit its pattern: {exc}") from None
+
+    entries = header.get("tensors")
+    if not isinstance(entries, list) or not all(
+        isinstance(e, dict) and isinstance(e.get("name"), str)
+        and isinstance(e.get("shape"), list) and isinstance(e.get("offset"), int)
+        for e in entries
+    ):
+        raise ContractError("checkpoint tensor directory needs name, shape and offset entries")
+    directory = {e["name"]: e for e in entries}
+    if len(directory) != len(entries):
+        raise ContractError("checkpoint tensor directory names a tensor twice")
+    layout = _param_layout(config)
+    check_keys("checkpoint tensor directory", directory, [name for name, _, _ in layout], "tensors")
     params = {}
     end = 0
-    for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
-        size = int(np.prod(shape, dtype=np.int64)) if shape else 1
+    for name, shape, _ in layout:
+        entry = directory[name]
+        if tuple(entry["shape"]) != shape:
+            raise ContractError(
+                f"checkpoint tensor {name!r} has shape {tuple(entry['shape'])}, "
+                f"its config needs {shape}"
+            )
+        size = math.prod(shape)
         start = entry["offset"]
         end = max(end, start + 8 * size)
         if start < 0 or end > len(blob):
             raise ContractError(
-                f"checkpoint blob holds {len(blob)} bytes, tensor {entry['name']!r} "
+                f"checkpoint blob holds {len(blob)} bytes, tensor {name!r} "
                 f"needs bytes {start} to {start + 8 * size}"
             )
         arr = np.frombuffer(blob, dtype="<f8", count=size, offset=start).reshape(shape)
-        params[entry["name"]] = Tensor(arr)
+        params[name] = Tensor(arr)
     if end != len(blob):
         raise ContractError(f"checkpoint blob holds {len(blob)} bytes, tensor directory covers {end}")
     return Model(config, params, pattern)

@@ -1,10 +1,11 @@
 """Temporal shift operators over token tensors.
 
-A token tensor has shape (T, H, W, D): frames, patch rows, patch cols,
-channels.  Every shift here moves values along the frame axis only, with
-cyclic wrap, so each one is a bijection on elements; the forward and
-inverse directions restore each other bit-exactly, and the gradient of a
-shift is the shift in the opposite direction.
+A token tensor has shape (..., T, H, W, D): optional clip axes, then
+frames, patch rows, patch cols, channels.  Every shift here moves values
+along the frame axis of each clip only, with cyclic wrap, so each one is a
+bijection on elements; the forward and inverse directions restore each
+other bit-exactly, and the gradient of a shift is the shift in the opposite
+direction.
 """
 
 from __future__ import annotations
@@ -34,17 +35,28 @@ class ShiftDirection(enum.Enum):
 
 
 def _check_tokens(z: Tensor) -> tuple[int, int, int, int]:
-    if z.ndim != 4:
-        raise ShapeError(f"token tensor must be (T, H, W, D), got {z.shape}")
-    return z.shape
+    """(T, H, W, D) of a (..., T, H, W, D) token tensor."""
+    if z.ndim < 4:
+        raise ShapeError(f"token tensor must be (..., T, H, W, D), got {z.shape}")
+    return z.shape[-4:]
+
+
+def _clip_offsets(z: Tensor) -> np.ndarray:
+    """Flat offset of each clip of a (..., T, H, W, D) tensor, as a column.
+
+    Adding it to a per-clip flat index (one row) gives the index over every
+    clip, in clip order.
+    """
+    per_clip = int(np.prod(z.shape[-4:]))
+    return np.arange(z.size // per_clip)[:, None] * per_clip
 
 
 def _gather_by_source(tape: Tape | None, z: Tensor, t_src: np.ndarray) -> Tensor:
-    """Reindex z so out[t, r, c, d] = z[t_src[t, r, c, d], r, c, d]."""
-    t, h, w, d = z.shape
+    """Reindex z so out[..., t, r, c, d] = z[..., t_src[t, r, c, d], r, c, d]."""
+    t, h, w, d = z.shape[-4:]
     site = np.arange(h * w * d).reshape(1, h, w, d)
     flat = t_src * (h * w * d) + site
-    return gather(tape, z, flat, z.shape)
+    return gather(tape, z, _clip_offsets(z) + flat.reshape(1, -1), z.shape)
 
 
 def source_frames(grid: np.ndarray, t: int) -> np.ndarray:
@@ -107,15 +119,14 @@ def channel_shift(
     if direction is ShiftDirection.INVERSE:
         ch_off = -ch_off
     t_src = (np.arange(t)[:, None, None, None] + ch_off[None, None, None, :]) % t
-    t_src = np.broadcast_to(t_src, (t, h, w, d))
-    return _gather_by_source(tape, z, t_src)
+    return _gather_by_source(tape, z, np.broadcast_to(t_src, (t, h, w, d)))
 
 
 def generic_shift(tape: Tape | None, z: Tensor, mask: np.ndarray, src: np.ndarray) -> Tensor:
     """The general selection form both shift flavors specialize.
 
-    out[t, r, c, d] = z[(t + src[r, c]) % T, r, c, d] where mask[r, c, d]
-    is set, and the untouched value otherwise.
+    out[..., t, r, c, d] = z[..., (t + src[r, c]) % T, r, c, d] where
+    mask[r, c, d] is set, and the untouched value otherwise.
     """
     t, h, w, d = _check_tokens(z)
     mask = np.asarray(mask)

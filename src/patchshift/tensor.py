@@ -123,23 +123,30 @@ class Tape:
         return out
 
     def backward(self, output: Tensor) -> "Grads":
-        """Reverse sweep from a scalar output. Returns a Grads lookup."""
+        """Reverse sweep from a scalar output. Returns a Grads lookup.
+
+        A record's output gradient is complete once the record has run (every
+        consumer comes later on the tape), so it is dropped there; only the
+        gradients of leaves, tensors no record produced, are kept.
+        """
         if output.data.size != 1:
             raise ContractError(
                 f"backward needs a scalar output, got shape {output.shape}"
             )
-        table: dict[int, np.ndarray] = {id(output): np.ones_like(output.data)}
+        table: dict[int, tuple[Tensor, np.ndarray]] = {
+            id(output): (output, np.ones_like(output.data))
+        }
         for rec in reversed(self.records):
-            g_out = table.get(id(rec.out))
-            if g_out is None:
+            entry = table.pop(id(rec.out), None)
+            if entry is None:
                 continue
-            grads = rec.backward(g_out)
+            grads = rec.backward(entry[1])
             for tensor, g in zip(rec.inputs, grads):
                 if g is None:
                     continue
                 acc = table.get(id(tensor))
-                table[id(tensor)] = g if acc is None else acc + g
-        return Grads(table, self.records)
+                table[id(tensor)] = (tensor, g if acc is None else acc[1] + g)
+        return Grads(table)
 
     def replay_matches(self) -> bool:
         """Recompute every record's forward value; True iff all bit-equal."""
@@ -147,17 +154,16 @@ class Tape:
 
 
 class Grads:
-    """Gradient lookup keyed by tensor identity; zeros for untouched tensors."""
+    """Leaf gradient lookup keyed by tensor identity; zeros for untouched tensors."""
 
-    def __init__(self, table: dict[int, np.ndarray], records) -> None:
-        self._table = table
-        self._records = records  # keeps tensor ids alive
+    def __init__(self, table: dict[int, tuple[Tensor, np.ndarray]]) -> None:
+        self._table = table  # holding each tensor keeps its id unique
 
     def __getitem__(self, t: Tensor) -> np.ndarray:
-        g = self._table.get(id(t))
-        if g is None:
+        entry = self._table.get(id(t))
+        if entry is None:
             return np.zeros(t.shape)
-        return g
+        return entry[1]
 
 
 def _as_axes(axes, ndim: int) -> tuple[int, ...]:
@@ -258,7 +264,7 @@ def gather(tape: Tape | None, x: Tensor, flat_index: np.ndarray, out_shape: Sequ
     """out.flat[i] = x.flat[flat_index[i]].
 
     The workhorse behind every index move in the package: temporal shifts,
-    transposes, window partition/merge, broadcast-over-frames, bias-table
+    window partition/merge, the tubelet position broadcast, bias-table
     lookup.  Indices may repeat; the adjoint scatter-adds, so for a
     bijection the backward pass is exactly the inverse permutation.
     """
@@ -284,12 +290,18 @@ def gather(tape: Tape | None, x: Tensor, flat_index: np.ndarray, out_shape: Sequ
 
 
 def transpose(tape: Tape | None, x: Tensor, axes: Sequence[int]) -> Tensor:
-    """Axis permutation, expressed as a gather so the adjoint is exact."""
-    axes = tuple(axes)
+    """Axis permutation; the adjoint is the inverse permutation."""
+    axes = tuple(int(a) for a in axes)
     if sorted(a % x.ndim for a in axes) != list(range(x.ndim)):
         raise ShapeError(f"transpose axes {axes} invalid for shape {x.shape}")
-    idx = np.transpose(np.arange(x.size).reshape(x.shape), axes)
-    return gather(tape, x, idx, idx.shape)
+    xd = x.data
+    y = xd.transpose(axes)
+    if tape is None:
+        return Tensor._wrap(y)
+    inverse = tuple(int(a) for a in np.argsort([a % x.ndim for a in axes]))
+    return tape.emit(
+        y, (x,), lambda g: (g.transpose(inverse),), lambda: xd.transpose(axes)
+    )
 
 
 def swap_last(tape: Tape | None, x: Tensor) -> Tensor:

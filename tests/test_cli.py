@@ -222,6 +222,45 @@ class TestEval:
                      "--data", str(other)]) == DATA_ERROR
 
 
+    @staticmethod
+    def _edit_header(ckpt, tmp_path, edit):
+        line, blob = ckpt.read_bytes().split(b"\n", 1)
+        header = json.loads(line)
+        edit(header)
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+        return bad
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h["config"].update(dropout=0.1),
+        lambda h: h["tensors"][0].update(name="embed.weight"),
+        lambda h: next(e for e in h["tensors"] if e["name"] == "head.w").update(shape=[2, 4]),
+        lambda h: h["pattern"].update(grid=[[0, 1], [1, 0]]),
+    ], ids=["unknown_config_key", "renamed_tensor", "reshaped_tensor", "edited_grid"])
+    def test_corrupt_checkpoint_is_usage_error(self, capsys, artifacts, tmp_path, edit):
+        ckpt, stem = artifacts
+        bad = self._edit_header(ckpt, tmp_path, edit)
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(bad), "--data", str(stem)]) == USAGE_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad checkpoint:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda sidecar, blob: blob.write_bytes(blob.read_bytes() + bytes(3)),
+        lambda sidecar, blob: sidecar.write_text(sidecar.read_text().replace(
+            '"noise"', '"fps": 30, "noise"')),
+        lambda sidecar, blob: sidecar.write_text(json.dumps(dict(
+            json.loads(sidecar.read_text()), labels=[0, 1, 0]))),
+    ], ids=["partial_float_blob", "unknown_spec_key", "short_labels"])
+    def test_corrupt_dataset_is_data_error(self, capsys, artifacts, corrupt):
+        ckpt, stem = artifacts
+        corrupt(stem.with_suffix(".json"), stem.with_suffix(".bin"))
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(stem)]) == DATA_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestComplexity:
     def test_table_lists_all_kinds(self, capsys):
         assert main(["complexity", "--N", "16", "--T", "4", "--D", "8"]) == 0

@@ -197,3 +197,48 @@ class TestSaveLoad:
         blob.write_bytes(blob.read_bytes()[:-16])
         with pytest.raises(ShapeError, match="floats"):
             load_dataset(tmp_path / "clips")
+
+    @pytest.fixture()
+    def saved(self, tmp_path):
+        samples = gen_dataset(REV_SPEC, seed=13)
+        sidecar, blob = save_dataset(tmp_path / "clips", REV_SPEC, 13, samples)
+        return tmp_path / "clips", sidecar, blob
+
+    @staticmethod
+    def _edit(sidecar, edit):
+        import json
+        meta = json.loads(sidecar.read_text())
+        edit(meta)
+        sidecar.write_text(json.dumps(meta))
+
+    @pytest.mark.parametrize("extra", [1, 7, 9])
+    def test_rejects_blob_of_partial_floats(self, saved, extra):
+        stem, _, blob = saved
+        blob.write_bytes(blob.read_bytes()[:-8] + bytes(extra))
+        with pytest.raises(ShapeError, match="not a whole number of floats"):
+            load_dataset(stem)
+
+    def test_rejects_unknown_spec_key(self, saved):
+        stem, sidecar, _ = saved
+        self._edit(sidecar, lambda m: m["spec"].update(fps=30))
+        with pytest.raises(ContractError, match="dataset spec has unknown keys \\['fps'\\]"):
+            load_dataset(stem)
+
+    def test_rejects_unknown_sidecar_key(self, saved):
+        stem, sidecar, _ = saved
+        self._edit(sidecar, lambda m: m.update(author="x"))
+        with pytest.raises(ContractError, match="unknown keys \\['author'\\]"):
+            load_dataset(stem)
+
+    @pytest.mark.parametrize("key", ["labels", "sample_seeds"])
+    def test_rejects_short_per_clip_lists(self, saved, key):
+        stem, sidecar, _ = saved
+        self._edit(sidecar, lambda m: m[key].pop())
+        with pytest.raises(ShapeError, match=f"sidecar {key} must list"):
+            load_dataset(stem)
+
+    def test_rejects_count_other_than_spec(self, saved):
+        stem, sidecar, _ = saved
+        self._edit(sidecar, lambda m: m.update(count=m["count"] - 2))
+        with pytest.raises(ShapeError, match="sidecar count"):
+            load_dataset(stem)

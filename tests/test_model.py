@@ -9,6 +9,7 @@ from patchshift.errors import ContractError, ShapeError
 from patchshift.model import (
     CHECKPOINT_FORMAT,
     INIT_STD,
+    TAPE_SITES,
     VARIANTS,
     Model,
     ModelConfig,
@@ -21,7 +22,7 @@ from patchshift.model import (
     tubelet_embed,
     unpack_params,
 )
-from patchshift.tensor import Tape, Tensor
+from patchshift.tensor import Tape, Tensor, cross_entropy, reshape
 
 TINY = dict(depth=2, dim=16, heads=2, window=(2, 2), pattern="bayerA",
             classes=2, frames=4, height=8, width=8, tubelet_t=1, tubelet_s=4)
@@ -373,3 +374,139 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes() + bytes(8))
         with pytest.raises(ContractError, match="tensor directory covers"):
             load_checkpoint(path)
+
+    def _corrupt(self, tmp_path, edit):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, Model.init(tiny_config(), seed=0))
+        line, blob = path.read_bytes().split(b"\n", 1)
+        import json
+        header = json.loads(line)
+        edit(header)
+        path.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+        return path
+
+    def test_rejects_unknown_config_key(self, tmp_path):
+        path = self._corrupt(tmp_path, lambda h: h["config"].update(dropout=0.1))
+        with pytest.raises(ContractError, match="unknown keys \\['dropout'\\]"):
+            load_checkpoint(path)
+
+    def test_rejects_missing_config_key(self, tmp_path):
+        path = self._corrupt(tmp_path, lambda h: h["config"].pop("heads"))
+        with pytest.raises(ContractError, match="missing keys \\['heads'\\]"):
+            load_checkpoint(path)
+
+    def test_rejects_renamed_tensor(self, tmp_path):
+        path = self._corrupt(tmp_path, lambda h: h["tensors"][0].update(name="embed.weight"))
+        with pytest.raises(ContractError, match="embed.weight"):
+            load_checkpoint(path)
+
+    def test_rejects_reshaped_tensor(self, tmp_path):
+        # Same element count, different shape: the blob still lines up.
+        def edit(h):
+            entry = next(e for e in h["tensors"] if e["name"] == "block0.attn.wq")
+            entry["shape"] = [8, 32]
+        path = self._corrupt(tmp_path, edit)
+        with pytest.raises(ContractError, match="'block0.attn.wq' has shape"):
+            load_checkpoint(path)
+
+    def test_rejects_edited_pattern_grid(self, tmp_path):
+        path = self._corrupt(tmp_path, lambda h: h["pattern"].update(grid=[[0, 1], [1, 0]]))
+        with pytest.raises(ContractError, match="does not match its stored hash"):
+            load_checkpoint(path)
+
+    def test_params_follow_init_order(self, tmp_path):
+        m = Model.init(tiny_config(), seed=0)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, m)
+        assert list(load_checkpoint(path).params) == list(m.params)
+
+
+def trained_like(cfg, seed):
+    """A model whose every parameter gets a gradient: non-zero head and biases."""
+    m = Model.init(cfg, seed=seed)
+    rng = np.random.default_rng(seed + 100)
+    for name in ("head.w", "head.b") + tuple(
+        f"block{i}.attn.bias" for i in range(cfg.depth)
+    ):
+        m.params[name] = Tensor(rng.normal(size=m.params[name].shape))
+    return m
+
+
+class TestClipBatch:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_stacked_logits_match_per_clip(self, variant):
+        rng = np.random.default_rng(20)
+        cfg = tiny_config(variant=variant, classes=3)
+        m = trained_like(cfg, seed=11)
+        videos = rng.random((5, cfg.frames, cfg.height, cfg.width, 3))
+        stacked = m.logits(None, Tensor(videos)).data
+        assert stacked.shape == (5, cfg.classes)
+        for i, video in enumerate(videos):
+            one = m.logits(None, Tensor(video)).data
+            assert one.shape == (cfg.classes,)
+            assert np.abs(stacked[i] - one).max() <= 1e-12 * np.abs(one).max()
+
+    def test_two_clip_axes(self):
+        rng = np.random.default_rng(21)
+        cfg = tiny_config()
+        m = trained_like(cfg, seed=12)
+        videos = rng.random((2, 3, cfg.frames, cfg.height, cfg.width, 3))
+        got = m.logits(None, Tensor(videos)).data
+        flat = m.logits(None, Tensor(videos.reshape(6, *videos.shape[2:]))).data
+        np.testing.assert_array_equal(got.reshape(6, -1), flat)
+
+    def test_tubelet_embed_stacks_clips(self):
+        rng = np.random.default_rng(22)
+        cfg = tiny_config(tubelet_t=2)
+        m = Model.init(cfg, seed=0)
+        videos = rng.random((3, cfg.frames, cfg.height, cfg.width, 3))
+        z = tubelet_embed(None, cfg, m.params, Tensor(videos))
+        for i in range(3):
+            one = tubelet_embed(None, cfg, m.params, Tensor(videos[i]))
+            np.testing.assert_array_equal(z.data[i], one.data)
+
+    def test_chunked_gradient_is_mean_of_per_clip_gradients(self):
+        # 16 token sites per clip, so a chunk holds 4 clips and a batch of 7
+        # runs as chunks of 4 and 3.
+        cfg = tiny_config(variant="combined", depth=3, classes=3)
+        t_len, gh, gw = cfg.token_extents()
+        assert TAPE_SITES // (t_len * gh * gw) == 4
+        rng = np.random.default_rng(23)
+        m = trained_like(cfg, seed=13)
+        batch = [(rng.random((cfg.frames, cfg.height, cfg.width, 3)), i % 3) for i in range(7)]
+
+        expected = {name: np.zeros(t.shape) for name, t in m.params.items()}
+        losses = []
+        for video, label in batch:
+            tape = Tape()
+            logits = m.logits(tape, Tensor(video))
+            loss = cross_entropy(tape, reshape(tape, logits, (1, cfg.classes)), [label])
+            grads = tape.backward(loss)
+            for name, t in m.params.items():
+                expected[name] += grads[t] / len(batch)
+            losses.append(loss.item())
+
+        velocity = {}  # after one step it holds the step's mean gradient
+        loss = train_step(m, batch, lr=0.0, velocity=velocity)
+        assert abs(loss - np.mean(losses)) <= 1e-12 * abs(np.mean(losses))
+        for name, g in expected.items():
+            assert np.abs(g).max() > 0, name
+            assert np.abs(velocity[name] - g).max() <= 1e-12 * np.abs(g).max(), name
+
+    def test_evaluate_matches_per_clip_argmax(self):
+        rng = np.random.default_rng(24)
+        cfg = tiny_config(classes=3)
+        m = trained_like(cfg, seed=14)
+        samples = [(rng.random((cfg.frames, cfg.height, cfg.width, 3)), i % 3) for i in range(9)]
+        hits = sum(int(np.argmax(m.logits(None, Tensor(v)).data) == y) for v, y in samples)
+        assert evaluate(m, samples) == hits / len(samples)
+
+    def test_mismatched_clip_shape_is_shape_error(self):
+        rng = np.random.default_rng(25)
+        cfg = tiny_config()
+        m = Model.init(cfg, seed=0)
+        batch = [(random_video(rng, cfg), 0), (Tensor(np.zeros((4, 8, 4, 3))), 1)]
+        with pytest.raises(ShapeError):
+            train_step(m, batch, lr=0.1)
+        with pytest.raises(ShapeError):
+            evaluate(m, batch)

@@ -124,6 +124,30 @@ class TestOracleAttention:
         slow = oracle_attention(z, pattern, layout, params)
         assert np.abs(fast.data - slow).max() <= 1e-9
 
+    @settings(max_examples=20, deadline=None)
+    @given(
+        kind=st.sampled_from(builtin_names()),
+        clips=st.integers(1, 3),
+        reps=st.tuples(*[st.integers(1, 2)] * 2),
+        t_len=st.integers(1, 3),
+        heads=st.integers(1, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_stacked_clips_match_oracle(self, kind, clips, reps, t_len, heads, seed):
+        # (B, T, H, W, D) tokens: every clip matches the oracle run on it alone.
+        pattern = build_pattern(kind)
+        layout = WindowLayout(pattern.height, pattern.width)
+        grid = (layout.height * reps[0], layout.width * reps[1])
+        rng = np.random.default_rng(seed)
+        dim = 2 * heads
+        params = make_params(rng, dim, heads, t_max=t_len, layout=layout)
+        z = rng.normal(size=(clips, t_len, *grid, dim))
+        fast = patch_shift_attention(None, Tensor(z), pattern, layout, params)
+        assert fast.shape == z.shape
+        for b in range(clips):
+            slow = oracle_attention(Tensor(z[b]), pattern, layout, params)
+            assert np.abs(fast.data[b] - slow).max() <= 1e-9
+
     def test_zero_offsets_match_per_frame_windows(self):
         rng = np.random.default_rng(7)
         layout = WindowLayout(2, 2)

@@ -205,3 +205,26 @@ class TestGenericShift:
         np.testing.assert_array_equal(out[:, 1:, :, :], z.data[:, 1:, :, :])
         np.testing.assert_array_equal(out[:, 0, 1, :], z.data[:, 0, 1, :])
         np.testing.assert_array_equal(out[0, 0, 0, :], z.data[1, 0, 0, :])
+
+
+class TestClipAxes:
+    """Leading clip axes: each clip shifts exactly as it would alone."""
+
+    @pytest.mark.parametrize("lead", [(3,), (2, 2)])
+    def test_stacked_clips_shift_independently(self, lead):
+        rng = np.random.default_rng(30)
+        t, h, w, d = 3, 2, 4, 4
+        z = Tensor(rng.normal(size=(*lead, t, h, w, d)))
+        grid = tile_offsets(build_pattern("bayerA"), h, w)
+        mask, src = patch_selection(grid, d)
+        ops = [
+            lambda x: patch_shift(None, x, grid),
+            lambda x: patch_shift(None, x, grid, ShiftDirection.INVERSE),
+            lambda x: channel_shift(None, x, 0.5),
+            lambda x: generic_shift(None, x, mask, src),
+        ]
+        clips = z.data.reshape(-1, t, h, w, d)
+        for op in ops:
+            out = op(z).data.reshape(-1, t, h, w, d)
+            for i, clip in enumerate(clips):
+                assert np.array_equal(out[i], op(Tensor(clip)).data)

@@ -229,6 +229,17 @@ class TestGradients:
         expected[perm] = w / 1.0
         np.testing.assert_allclose(g, expected, atol=1e-15)
 
+    def test_transpose_backward_is_inverse_transpose(self):
+        rng = np.random.default_rng(8)
+        x = Tensor(rng.normal(size=(2, 3, 4)))
+        w = rng.normal(size=(4, 2, 3))
+        tape = Tape()
+        y = transpose(tape, x, (2, 0, 1))
+        assert len(tape.records) == 1  # one native record, no index array
+        s = mean(tape, matmul(tape, reshape(tape, y, (1, 24)), Tensor(w.reshape(24, 1))), (0, 1))
+        g = tape.backward(s)[x]
+        np.testing.assert_array_equal(g, w.transpose(1, 2, 0))
+
     def test_two_block_composition_grad(self):
         # A deeper composite touching most primitives at once.
         rng = np.random.default_rng(7)
@@ -279,6 +290,35 @@ class TestTape:
         mean(tape, layer_norm(tape, y, Tensor(np.ones(5)), Tensor(np.zeros(5))), (0, 1))
         assert len(tape.records) == 4
         assert tape.replay_matches()
+
+    def test_backward_keeps_exact_leaf_gradients_only(self):
+        rng = np.random.default_rng(10)
+        x = Tensor(rng.normal(size=(3, 4)))
+        w = Tensor(rng.normal(size=(5, 4)))
+        b = Tensor(rng.normal(size=5))
+        tape = Tape()
+        h = affine(tape, x, w, b)
+        y = add(tape, gelu(tape, h), h)  # h feeds two records
+        t = transpose(tape, y, (1, 0))
+        s = cross_entropy(tape, reshape(tape, t, (5, 3)), [0, 2, 1, 1, 0])
+
+        # Reference sweep that keeps every gradient, intermediates included.
+        table = {id(s): np.ones_like(s.data)}
+        for rec in reversed(tape.records):
+            g_out = table.get(id(rec.out))
+            if g_out is None:
+                continue
+            for tensor, g in zip(rec.inputs, rec.backward(g_out)):
+                acc = table.get(id(tensor))
+                table[id(tensor)] = g if acc is None else acc + g
+
+        grads = tape.backward(s)
+        for leaf in (x, w, b):
+            assert np.abs(table[id(leaf)]).max() > 0
+            assert np.array_equal(grads[leaf], table[id(leaf)])
+        for inner in (h, y, t):  # dropped once their records ran
+            assert np.abs(table[id(inner)]).max() > 0
+            assert not grads[inner].any()
 
     def test_same_inputs_same_outputs(self):
         rng = np.random.default_rng(9)
