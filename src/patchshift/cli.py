@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -165,6 +166,13 @@ def _load_run_config(path: str, overrides: list[str]) -> dict:
     return _apply_overrides(raw, overrides)
 
 
+def _check_int(name: str, value, low: int) -> int:
+    """value itself if it is an integer >= low; ContractError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ContractError(f"{name} must be an integer >= {low}, got {value!r}")
+    return value
+
+
 def _build_run(config: dict):
     """Split a raw config dict into (ModelConfig, TaskSpec, train dict, seed, out_dir)."""
     known = {"model", "task", "train", "seed", "out_dir"}
@@ -175,12 +183,10 @@ def _build_run(config: dict):
     task_dict = dict(config.get("task", {}))
     train = dict(DEFAULT_TRAIN)
     train.update(config.get("train", {}))
-    seed = int(config.get("seed", 0))
+    seed = _check_int("seed", config.get("seed", 0), 0)
     out_dir = config.get("out_dir") or os.environ.get(OUT_DIR_ENV) or "runs/latest"
 
     task = TaskSpec(**task_dict)
-    if "window" in model_dict:
-        model_dict["window"] = tuple(model_dict["window"])
     if "pattern" in model_dict:
         resolve_pattern(str(model_dict["pattern"]))  # unknown name = config error
     model_dict.setdefault("classes", task.classes)
@@ -199,6 +205,13 @@ def _build_run(config: dict):
     extra = set(train) - set(DEFAULT_TRAIN)
     if extra:
         raise ContractError(f"unknown train keys: {sorted(extra)}")
+    for key in ("epochs", "batch"):
+        _check_int(f"train.{key}", train[key], 1)
+    for key in ("lr", "momentum"):
+        value = train[key]
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not math.isfinite(value)):
+            raise ContractError(f"train.{key} must be a finite number, got {value!r}")
     return model, task, train, seed, out_dir
 
 
@@ -213,9 +226,9 @@ def run_training(model_cfg: ModelConfig, task: TaskSpec, train: dict, seed: int,
     model = Model.init(model_cfg, seed)
     rng = np.random.default_rng(seed + 2)
     velocity: dict[str, np.ndarray] = {}
-    batch = int(train["batch"])
+    batch = train["batch"]
     rows = []
-    for epoch in range(int(train["epochs"])):
+    for epoch in range(train["epochs"]):
         order = rng.permutation(len(train_set))
         losses = []
         for lo in range(0, len(order), batch):

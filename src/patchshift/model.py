@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -80,11 +81,18 @@ class ModelConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ContractError(f"unknown variant {self.variant!r} (known: {VARIANTS})")
-        if self.depth <= 0 or self.dim <= 0 or self.classes <= 0:
-            raise ContractError("depth, dim and classes must be positive")
+        if self.depth <= 0 or self.dim <= 0 or self.heads <= 0 or self.classes <= 0:
+            raise ContractError("depth, dim, heads and classes must be positive")
         if self.dim % self.heads:
             raise ShapeError(f"heads {self.heads} must divide dim {self.dim}")
-        object.__setattr__(self, "window", tuple(int(w) for w in self.window))
+        window = self.window
+        if not (
+            isinstance(window, (tuple, list)) and len(window) == 2
+            and all(isinstance(w, numbers.Integral) and not isinstance(w, bool) and w > 0
+                    for w in window)
+        ):
+            raise ShapeError(f"window must be two positive ints, got {window!r}")
+        object.__setattr__(self, "window", (int(window[0]), int(window[1])))
 
     def token_extents(self) -> tuple[int, int, int]:
         """(T, grid_h, grid_w) after tubelet embedding; extents must divide."""
@@ -444,7 +452,6 @@ def _checkpoint_config(raw) -> ModelConfig:
     check_keys("checkpoint config", raw, [f.name for f in fields(ModelConfig)])
     cfg = dict(raw)
     try:
-        cfg["window"] = tuple(cfg["window"])
         return ModelConfig(**cfg)
     except (TypeError, ValueError) as exc:
         raise ContractError(f"bad checkpoint config: {exc}") from None

@@ -6,6 +6,13 @@ forward replay closure) onto an explicit ``Tape``; gradients come from a
 single reverse sweep over the records.  Replaying a tape reproduces every
 forward value bit-exactly, which is what the determinism tests lean on.
 
+The elementwise rules (softmax, layer norm, GELU, cross-entropy) fill only
+the buffers they return or keep, with in-place ufuncs applied in the
+operation order of the textbook expressions, so their values stay bit-equal
+to those expressions.  A backward rule never writes into its incoming
+gradient (``add`` hands one array to both inputs) nor into what the forward
+pass saved.
+
 The tape also tallies forward multiply-accumulate counts per label, so a
 forward pass can be profiled without touching the math.
 """
@@ -298,7 +305,9 @@ def transpose(tape: Tape | None, x: Tensor, axes: Sequence[int]) -> Tensor:
     y = xd.transpose(axes)
     if tape is None:
         return Tensor._wrap(y)
-    inverse = tuple(int(a) for a in np.argsort([a % x.ndim for a in axes]))
+    inverse = [0] * x.ndim
+    for i, a in enumerate(axes):
+        inverse[a % x.ndim] = i
     return tape.emit(
         y, (x,), lambda g: (g.transpose(inverse),), lambda: xd.transpose(axes)
     )
@@ -313,9 +322,10 @@ def swap_last(tape: Tape | None, x: Tensor) -> Tensor:
 
 
 def _softmax_raw(arr: np.ndarray, axis: int) -> np.ndarray:
-    shifted = arr - arr.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    e = arr - arr.max(axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def softmax(tape: Tape | None, x: Tensor, axis: int = -1) -> Tensor:
@@ -326,8 +336,11 @@ def softmax(tape: Tape | None, x: Tensor, axis: int = -1) -> Tensor:
         return Tensor._wrap(y)
 
     def backward(g):
-        inner = (g * y).sum(axis=axis, keepdims=True)
-        return (y * (g - inner),)
+        dx = g * y
+        inner = dx.sum(axis=axis, keepdims=True)
+        np.subtract(g, inner, out=dx)
+        dx *= y
+        return (dx,)
 
     return tape.emit(y, (x,), backward, lambda: _softmax_raw(xd, axis))
 
@@ -344,56 +357,79 @@ def layer_norm(tape: Tape | None, x: Tensor, gamma: Tensor, beta: Tensor, eps: f
     xd, gd, bd = x.data, gamma.data, beta.data
 
     def forward():
-        mu = xd.mean(axis=-1, keepdims=True)
-        xc = xd - mu
-        var = (xc * xc).mean(axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt(var + eps)
-        return (xc * inv) * gd + bd
+        """(y, xhat, inv): the output and what backward keeps."""
+        xhat = xd - xd.mean(axis=-1, keepdims=True)
+        y = xhat * xhat
+        inv = 1.0 / np.sqrt(y.mean(axis=-1, keepdims=True) + eps)
+        xhat *= inv
+        np.multiply(xhat, gd, out=y)
+        y += bd
+        return y, xhat, inv
 
-    mu = xd.mean(axis=-1, keepdims=True)
-    xc = xd - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    y = xhat * gd + bd
+    y, xhat, inv = forward()
     if tape is None:
         return Tensor._wrap(y)
 
     def backward(g):
-        dgamma = (g * xhat).reshape(-1, d).sum(axis=0)
+        t = g * xhat
+        dgamma = t.reshape(-1, d).sum(axis=0)
         dbeta = g.reshape(-1, d).sum(axis=0)
-        dxhat = g * gd
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        dx = inv * (dxhat - m1 - xhat * m2)
+        dx = g * gd
+        m1 = dx.mean(axis=-1, keepdims=True)
+        np.multiply(dx, xhat, out=t)
+        m2 = t.mean(axis=-1, keepdims=True)
+        dx -= m1
+        np.multiply(xhat, m2, out=t)
+        dx -= t
+        dx *= inv
         return dx, dgamma, dbeta
 
-    return tape.emit(y, (x, gamma, beta), backward, forward)
+    return tape.emit(y, (x, gamma, beta), backward, lambda: forward()[0])
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
+_GELU_K = 0.044715
+
+
+def _gelu_raw(xd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(y, th): 0.5 x (1 + tanh(u)) with u = c (x + k x^3), and th = tanh(u)."""
+    th = xd * xd
+    th *= xd
+    th *= _GELU_K
+    th += xd
+    th *= _GELU_C
+    np.tanh(th, out=th)
+    y = th + 1.0
+    y *= xd
+    y *= 0.5
+    return y, th
 
 
 def gelu(tape: Tape | None, x: Tensor) -> Tensor:
     """Smooth gating nonlinearity (tanh form) for the feed-forward blocks."""
     xd = x.data
-
-    def forward():
-        u = _GELU_C * (xd + 0.044715 * (xd * xd * xd))
-        return 0.5 * xd * (1.0 + np.tanh(u))
-
-    u = _GELU_C * (xd + 0.044715 * (xd * xd * xd))
-    th = np.tanh(u)
-    y = 0.5 * xd * (1.0 + th)
+    y, th = _gelu_raw(xd)
     if tape is None:
         return Tensor._wrap(y)
 
     def backward(g):
-        du = _GELU_C * (1.0 + 3 * 0.044715 * xd**2)
-        dy = 0.5 * (1.0 + th) + 0.5 * xd * (1.0 - th * th) * du
-        return (g * dy,)
+        # dy/dx = 0.5 (1 + th) + 0.5 x (1 - th^2) c (1 + 3 k x^2)
+        dx = xd * xd
+        dx *= 3 * _GELU_K
+        dx += 1.0
+        dx *= _GELU_C
+        t = th * th
+        np.subtract(1.0, t, out=t)
+        t *= 0.5
+        t *= xd
+        dx *= t
+        np.add(th, 1.0, out=t)
+        t *= 0.5
+        dx += t
+        dx *= g
+        return (dx,)
 
-    return tape.emit(y, (x,), backward, forward)
+    return tape.emit(y, (x,), backward, lambda: _gelu_raw(xd)[0])
 
 
 def mean(tape: Tape | None, x: Tensor, axes) -> Tensor:
@@ -436,7 +472,9 @@ def cross_entropy(tape: Tape | None, logits: Tensor, labels) -> Tensor:
     def backward(g):
         p = _softmax_raw(ld, 1)
         p[np.arange(n), lab] -= 1.0
-        return (float(g) * p / n,)
+        p *= float(g)
+        p /= n
+        return (p,)
 
     return tape.emit(y, (logits,), backward, forward)
 

@@ -155,6 +155,27 @@ class TestRun:
         cfg = run_config(tmp_path)
         assert main(["run", str(cfg), "--model.frames", "8"]) == DATA_ERROR
 
+    @pytest.mark.parametrize("flags", [
+        ["--train.epochs", "0"],
+        ["--train.batch", "0"],
+        ["--train.lr", "fast"],
+        ["--train.momentum", "[0.9]"],
+        ["--seed", "x"],
+        ["--seed", "1.5"],
+    ], ids=["zero_epochs", "zero_batch", "text_lr", "list_momentum", "text_seed",
+            "float_seed"])
+    def test_bad_train_value_is_usage_error(self, capsys, tmp_path, flags):
+        cfg = run_config(tmp_path)
+        assert main(["run", str(cfg), *flags]) == USAGE_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad run config:") and err.count("\n") == 1
+
+    def test_bad_window_is_one_line_error(self, capsys, tmp_path):
+        cfg = run_config(tmp_path)
+        assert main(["run", str(cfg), "--model.window", "[2]"]) == DATA_ERROR
+        err = capsys.readouterr().err
+        assert "window must be two positive ints" in err and err.count("\n") == 1
+
     def test_missing_config_is_usage_error(self, capsys, tmp_path):
         assert main(["run", str(tmp_path / "absent.json")]) == USAGE_ERROR
 

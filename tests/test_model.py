@@ -55,6 +55,19 @@ class TestModelConfig:
             ModelConfig(variant="dense")
         with pytest.raises(ShapeError):
             ModelConfig(dim=16, heads=3)
+        for heads in (0, -2):
+            with pytest.raises(ContractError, match="must be positive"):
+                ModelConfig(dim=16, heads=heads)
+
+    @pytest.mark.parametrize("window", [
+        (2,), (2, 2, 2), (0, 2), (2, -1), (2.0, 2), (True, 2), 2, "22",
+    ])
+    def test_window_must_be_two_positive_ints(self, window):
+        with pytest.raises(ShapeError, match="window must be two positive ints"):
+            tiny_config(window=window)
+
+    def test_window_list_becomes_tuple(self):
+        assert tiny_config(window=[2, np.int64(2)]).window == (2, 2)
 
     @pytest.mark.parametrize("variant,depth,expected", [
         ("avgpool", 2, ("none", "none")),
@@ -393,6 +406,12 @@ class TestCheckpoint:
     def test_rejects_missing_config_key(self, tmp_path):
         path = self._corrupt(tmp_path, lambda h: h["config"].pop("heads"))
         with pytest.raises(ContractError, match="missing keys \\['heads'\\]"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("window", [[2], 2, [2, 0]])
+    def test_rejects_bad_window(self, tmp_path, window):
+        path = self._corrupt(tmp_path, lambda h: h["config"].update(window=window))
+        with pytest.raises(ContractError, match="window must be two positive ints"):
             load_checkpoint(path)
 
     def test_rejects_renamed_tensor(self, tmp_path):

@@ -1,5 +1,7 @@
 """Primitive forward values, gradient checks, and tape determinism."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -277,6 +279,108 @@ class TestGradients:
     def test_grad_check_eps_bounds(self):
         with pytest.raises(ContractError):
             grad_check(lambda tape, x: mean(tape, x, (0,)), Tensor([1.0]), eps=1e-2)
+
+
+# Textbook forms of the elementwise rules, written as plain expressions: the
+# in-place kernels must match them bit for bit.
+def _ref_softmax(x, g, axis):
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    y = e / e.sum(axis=axis, keepdims=True)
+    inner = (g * y).sum(axis=axis, keepdims=True)
+    return y, (y * (g - inner),)
+
+
+def _ref_layer_norm(x, g, gamma, beta, eps=1e-6):
+    d = x.shape[-1]
+    xc = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    xhat = xc * inv
+    y = xhat * gamma + beta
+    dgamma = (g * xhat).reshape(-1, d).sum(axis=0)
+    dbeta = g.reshape(-1, d).sum(axis=0)
+    dxhat = g * gamma
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    return y, (inv * (dxhat - m1 - xhat * m2), dgamma, dbeta)
+
+
+def _ref_gelu(x, g):
+    c = math.sqrt(2.0 / math.pi)
+    th = np.tanh(c * (x + 0.044715 * (x * x * x)))
+    y = 0.5 * x * (1.0 + th)
+    du = c * (1.0 + 3 * 0.044715 * x**2)
+    return y, (g * (0.5 * (1.0 + th) + 0.5 * x * (1.0 - th * th) * du),)
+
+
+def _ref_cross_entropy(x, g, labels):
+    n = x.shape[0]
+    m = x.max(axis=1, keepdims=True)
+    lse = m.squeeze(1) + np.log(np.exp(x - m).sum(axis=1))
+    p = np.exp(x - m)
+    p = p / p.sum(axis=1, keepdims=True)
+    p[np.arange(n), labels] -= 1.0
+    return np.array((lse - x[np.arange(n), labels]).mean()), (float(g) * p / n,)
+
+
+_G5 = Tensor(_rng.normal(1.0, 0.3, size=5))
+_BE5 = Tensor(_rng.normal(size=5))
+_LABELS = [0, 4, 2, 2]
+
+# name -> (input shape, primitive on one tensor, textbook (value, grads) of x and g)
+KERNELS = {
+    "gelu": ((3, 4, 5), gelu, _ref_gelu),
+    "layer_norm": ((3, 4, 5), lambda tape, x: layer_norm(tape, x, _G5, _BE5),
+                   lambda x, g: _ref_layer_norm(x, g, _G5.data, _BE5.data)),
+    "softmax": ((3, 4, 5), lambda tape, x: softmax(tape, x, axis=1),
+                lambda x, g: _ref_softmax(x, g, 1)),
+    "mean": ((3, 4, 5), lambda tape, x: mean(tape, x, (0, 2)), None),
+    "cross_entropy": ((4, 5), lambda tape, x: cross_entropy(tape, x, _LABELS),
+                      lambda x, g: _ref_cross_entropy(x, g, _LABELS)),
+}
+
+
+class TestKernels:
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_backward_writes_neither_g_nor_saved_arrays(self, name):
+        # add hands one g object to both of its inputs, so a rule that wrote
+        # into g, its output or its saved forward arrays would corrupt others.
+        shape, func, _ = KERNELS[name]
+        rng = np.random.default_rng(sum(map(ord, name)))
+        tape = Tape()
+        y = func(tape, Tensor(rng.normal(size=shape)))
+        rec = tape.records[-1]
+        saved = [c.cell_contents for c in rec.backward.__closure__
+                 if isinstance(c.cell_contents, np.ndarray)]
+        assert saved
+        kept = [a.copy() for a in saved] + [rec.out.data.copy()]
+        g = rng.normal(size=y.shape)
+        g_before = g.copy()
+        first = [a.copy() for a in rec.backward(g)]
+        second = rec.backward(g)
+        for a, b in zip(first, second):
+            assert np.array_equal(a, b)
+            assert not np.shares_memory(b, g)
+        assert np.array_equal(g, g_before)
+        for a, b in zip(saved + [rec.out.data], kept):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 30.0, 1e4])
+    @pytest.mark.parametrize("name", sorted(n for n in KERNELS if KERNELS[n][2]))
+    def test_bit_equal_to_textbook_form(self, name, scale):
+        shape, func, ref = KERNELS[name]
+        rng = np.random.default_rng(sum(map(ord, name)) + int(scale))
+        x = rng.normal(size=shape) * scale
+        x.flat[:3] = [0.0, -40.0, 40.0]
+        tape = Tape()
+        y = func(tape, Tensor(x))
+        g = rng.normal(size=y.shape)
+        want_y, want_grads = ref(x, g)
+        assert np.array_equal(y.data, want_y)
+        grads = tape.records[-1].backward(g)
+        assert len(grads) == len(want_grads)
+        for got, want in zip(grads, want_grads):
+            assert np.array_equal(got, want)
+        assert tape.replay_matches()
 
 
 class TestTape:
