@@ -71,7 +71,6 @@ from .tensor import (
     reshape,
     scale,
     softmax,
-    swap_last,
     transpose,
 )
 

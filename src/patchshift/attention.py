@@ -1,10 +1,11 @@
 """Windowed multi-head self-attention with patch shift and 3D position bias.
 
 Attention always runs inside non-overlapping spatial windows of a single
-frame; temporal mixing comes entirely from shifting patches across frames
-before the windows are cut.  Each token keeps its source-frame coordinate,
-and the relative position bias is looked up with (dt, dr, dc) displacements
-between source coordinates, so the bias follows shifted patches around.
+frame; temporal mixing comes entirely from shifting patches or channels
+across frames before the windows are cut.  Each token keeps its patch's
+source-frame coordinate, and the relative position bias is looked up with
+(dt, dr, dc) displacements between those coordinates, so the bias follows
+shifted patches around.
 """
 
 from __future__ import annotations
@@ -16,19 +17,8 @@ import numpy as np
 
 from .errors import ContractError, ShapeError
 from .patterns import ShiftPattern, tile_offsets
-from .shifts import _check_tokens, _clip_offsets, source_frames
-from .tensor import (
-    Tape,
-    Tensor,
-    add,
-    gather,
-    matmul,
-    reshape,
-    scale,
-    softmax,
-    swap_last,
-    transpose,
-)
+from .shifts import _check_tokens, _clip_offsets, _source_index, channel_offsets, source_frames
+from .tensor import Tape, Tensor, add, gather, matmul, reshape, scale, softmax, transpose
 
 __all__ = [
     "WindowLayout",
@@ -54,10 +44,16 @@ class WindowLayout:
     def tokens(self) -> int:
         return self.height * self.width
 
-    def check_divides(self, grid_h: int, grid_w: int) -> None:
+    def check_divides(self, grid_h: int, grid_w: int, pattern: ShiftPattern | None = None) -> None:
+        """Windows tile the patch grid and, if given, the pattern tiles a window."""
         if grid_h % self.height or grid_w % self.width:
             raise ShapeError(
                 f"window {self.height}x{self.width} does not tile patch grid {grid_h}x{grid_w}"
+            )
+        if pattern is not None and (self.height % pattern.height or self.width % pattern.width):
+            raise ShapeError(
+                f"pattern {pattern.height}x{pattern.width} does not tile window "
+                f"{self.height}x{self.width}"
             )
 
 
@@ -129,23 +125,27 @@ def relpos_index(layout: WindowLayout, src_frames: np.ndarray, t_max: int) -> np
     return ((dt + t_max - 1) * (2 * wh - 1) + (dr + wh - 1)) * (2 * ww - 1) + (dc + ww - 1)
 
 
-def _heads_axes(ndim: int) -> tuple[int, ...]:
-    # (..., a, b, hd) <-> (..., b, a, hd): tokens and heads trade places.
-    return (*range(ndim - 3), ndim - 2, ndim - 3, ndim - 1)
+def _heads_axes(ndim: int, keys: bool = False) -> tuple[int, ...]:
+    # (..., n, heads, hd) -> (..., heads, n, hd), its own inverse; with keys,
+    # (..., heads, hd, n) instead, K already transposed for the score product.
+    lead, n, h, c = range(ndim - 3), ndim - 3, ndim - 2, ndim - 1
+    return (*lead, h, c, n) if keys else (*lead, h, n, c)
 
 
 def _split_heads(tape: Tape | None, x: Tensor, params: AttentionParams) -> tuple[Tensor, Tensor, Tensor]:
-    """Q, K, V of tokens (..., n, D), each as (..., heads, n, D/heads).
+    """Q, K^T, V of tokens (..., n, D): Q and V as (..., heads, n, hd), K^T as
+    (..., heads, hd, n), with hd = D/heads.
 
-    Every token goes through each projection in one (m, D) product.
+    Every token goes through each projection in one (m, D) product, and
+    each result takes its head layout in one transpose.
     """
     d = params.dim
     rows = reshape(tape, x, (x.size // d, d))
     split = (*x.shape[:-1], params.heads, params.head_dim)
-    axes = _heads_axes(len(split))
     return tuple(
-        transpose(tape, reshape(tape, matmul(tape, rows, w, label="proj"), split), axes)
-        for w in (params.w_q, params.w_k, params.w_v)
+        transpose(tape, reshape(tape, matmul(tape, rows, w, label="proj"), split),
+                  _heads_axes(len(split), keys))
+        for w, keys in ((params.w_q, False), (params.w_k, True), (params.w_v, False))
     )
 
 
@@ -180,8 +180,8 @@ def window_mhsa(tape: Tape | None, x: Tensor, params: AttentionParams, index: np
     if index.size and (index.min() < 0 or index.max() >= table_size):
         raise ContractError("bias index outside table")
 
-    q, k, v = _split_heads(tape, x, params)
-    scores = scale(tape, matmul(tape, q, swap_last(tape, k), label="score"), 1.0 / math.sqrt(hd))
+    q, k_t, v = _split_heads(tape, x, params)
+    scores = scale(tape, matmul(tape, q, k_t, label="score"), 1.0 / math.sqrt(hd))
     flat_idx = np.arange(heads)[:, None, None] * table_size + index[..., None, :, :]
     bias = gather(tape, params.bias_table, flat_idx, scores.shape)
     weights = softmax(tape, add(tape, scores, bias), axis=-1)
@@ -195,23 +195,23 @@ def patch_shift_attention(
     pattern: ShiftPattern,
     layout: WindowLayout,
     params: AttentionParams,
+    channel_ratio: float = 0.0,
 ) -> Tensor:
-    """Shift patches, attend inside spatial windows, shift back.
+    """Shift patches and channels, attend inside spatial windows, shift back.
 
     z is (..., T, H, W, D): optional leading clip axes, then one clip's
-    tokens.  The shift composed with the window partition is one gather,
-    every window of every frame of every clip is one batched window_mhsa
-    call, and the merge composed with the inverse shift is the inverse
-    gather.  The pattern must tile the window so every window sees the same
-    offset layout; the caller owns the residual connection.
+    tokens.  Shifted element (t, r, c, d) comes from frame (t + g[r, c] +
+    ch[d]) mod T, with g the pattern tiled over the grid and ch the
+    shifts.channel_offsets of channel_ratio.  That shift composed with the
+    window partition is one gather, every window of every frame of every
+    clip is one batched window_mhsa call, and the merge composed with the
+    inverse shift is the inverse gather.  The position bias is keyed on
+    each patch's frame (t + g[r, c]) mod T, so channels keep their host
+    frame's bias.  The pattern must tile the window so every window sees
+    the same offset layout; the caller owns the residual connection.
     """
     t_len, grid_h, grid_w, d = _check_tokens(z)
-    layout.check_divides(grid_h, grid_w)
-    wh, ww = layout.height, layout.width
-    if wh % pattern.height or ww % pattern.width:
-        raise ShapeError(
-            f"pattern {pattern.height}x{pattern.width} does not tile window {wh}x{ww}"
-        )
+    layout.check_divides(grid_h, grid_w, pattern)
     if d != params.dim:
         raise ShapeError(f"token dim {d} != params dim {params.dim}")
     if params.t_max < t_len:
@@ -219,22 +219,20 @@ def patch_shift_attention(
             f"bias table covers {params.t_max} frames, tokens have {t_len}"
         )
 
-    # src[t, r, c]: the frame whose (r, c) patch sits at (t, r, c) once shifted.
-    src = source_frames(tile_offsets(pattern, grid_h, grid_w), t_len)
-    site = (src * grid_h + np.arange(grid_h)[:, None]) * grid_w + np.arange(grid_w)
-    n_windows = (grid_h // wh) * (grid_w // ww)
-    site = site.reshape(t_len, grid_h // wh, wh, grid_w // ww, ww).transpose(0, 1, 3, 2, 4)
-    partition = (site.reshape(t_len, n_windows, layout.tokens, 1) * d + np.arange(d)).ravel()
-    merge = np.empty_like(partition)
-    merge[partition] = np.arange(partition.size)
+    wh, ww = layout.height, layout.width
+    grid = tile_offsets(pattern, grid_h, grid_w)
+    t_src = source_frames(grid[..., None] + channel_offsets(d, channel_ratio), t_len)
+    blocks = _source_index(t_src).reshape(t_len, grid_h // wh, wh, grid_w // ww, ww, d)
+    partition = blocks.transpose(0, 1, 3, 2, 4, 5).reshape(t_len, -1, layout.tokens, d)
+    merge = np.empty(partition.size, dtype=np.int64)
+    merge[partition.ravel()] = np.arange(partition.size)
     offsets = _clip_offsets(z)
     lead = z.shape[:-4]
-    windows = gather(
-        tape, z, offsets + partition, (*lead, t_len, n_windows, layout.tokens, d)
-    )
+    windows = gather(tape, z, offsets + partition.reshape(1, -1), (*lead, *partition.shape))
 
-    # Every window at a given t has the same source frames because the
+    # Every window at a given t has the same patch frames because the
     # pattern tiles the window, so the first window's stand for the frame's.
-    index = relpos_index(layout, src[:, None, :wh, :ww], params.t_max)
+    src = source_frames(grid[:wh, :ww], t_len)
+    index = relpos_index(layout, src[:, None], params.t_max)
     out = window_mhsa(tape, windows, params, index)
     return gather(tape, out, offsets + merge, z.shape)

@@ -9,6 +9,7 @@ Run configs are JSON; any leaf can be overridden with dotted flags, e.g.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import TaskSpec, gen_dataset, load_dataset, save_dataset, split_dataset
-from .errors import ContractError, ShapeError
+from .errors import ContractError, NonFiniteError, ShapeError
 from .model import (
     Model,
     ModelConfig,
@@ -219,6 +220,16 @@ def _format_float(x: float) -> str:
     return repr(float(x))
 
 
+@contextlib.contextmanager
+def _diverges_at(where: str):
+    """Silence numpy's overflow warnings; name where a tensor went non-finite."""
+    try:
+        with np.errstate(all="ignore"):
+            yield
+    except NonFiniteError as exc:
+        raise NonFiniteError(f"training diverged at {where}: {exc}") from None
+
+
 def run_training(model_cfg: ModelConfig, task: TaskSpec, train: dict, seed: int, out_dir: Path):
     """Full deterministic run; returns (model, rows) and writes nothing."""
     samples = gen_dataset(task, seed)
@@ -231,13 +242,12 @@ def run_training(model_cfg: ModelConfig, task: TaskSpec, train: dict, seed: int,
     for epoch in range(train["epochs"]):
         order = rng.permutation(len(train_set))
         losses = []
-        for lo in range(0, len(order), batch):
-            chunk = [train_set[i] for i in order[lo : lo + batch]]
-            pairs = [(s.video, s.label) for s in chunk]
-            losses.append(
-                train_step(model, pairs, train["lr"], train["momentum"], velocity)
-            )
-        top1 = evaluate(model, [(s.video, s.label) for s in val_set])
+        for step, lo in enumerate(range(0, len(order), batch)):
+            pairs = [(train_set[i].video, train_set[i].label) for i in order[lo : lo + batch]]
+            with _diverges_at(f"epoch {epoch}, step {step}"):
+                losses.append(train_step(model, pairs, train["lr"], train["momentum"], velocity))
+        with _diverges_at(f"epoch {epoch}, validation"):
+            top1 = evaluate(model, [(s.video, s.label) for s in val_set])
         rows.append((epoch, float(np.mean(losses)), top1))
     return model, rows
 

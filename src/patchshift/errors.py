@@ -9,6 +9,10 @@ class ContractError(ValueError):
     """An argument violates an operation's contract (kind, range, finiteness)."""
 
 
+class NonFiniteError(ContractError):
+    """A tensor would hold NaN or infinity, as when training diverges."""
+
+
 def check_keys(what: str, got, expected, noun: str = "keys") -> None:
     """Raise ContractError unless got holds exactly the names in expected."""
     unknown = sorted(set(got) - set(expected))

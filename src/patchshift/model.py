@@ -3,9 +3,10 @@
 Tubelet embedding folds s frames x k x k pixels x 3 channels into one token;
 encoder blocks are pre-norm attention + feed-forward with residuals.  The
 four variants differ only in which temporal shift (patch, channel, both
-alternating, or none) wraps the attention of even-indexed blocks; parameter
-shapes never change, so parameter counts and attention MACs are identical
-across variants by construction.
+alternating, or none) the attention of even-indexed blocks folds into its
+partition and merge gathers; every block makes the same single
+patch_shift_attention call.  Parameter shapes never change, so parameter
+counts and attention MACs are identical across variants by construction.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from .attention import AttentionParams, WindowLayout, patch_shift_attention
 from .errors import ContractError, ShapeError, check_keys
 from .patterns import ShiftPattern, build_pattern, pattern_hash, resolve_pattern
-from .shifts import ShiftDirection, channel_shift, shifted_channels
+from .shifts import shifted_channels
 from .tensor import (
     Tape,
     Tensor,
@@ -118,20 +119,9 @@ class ModelConfig:
         The combined variant alternates patch and channel shift across its
         shift-carrying blocks.
         """
-        modes = []
-        shift_slot = 0
-        for i in range(self.depth):
-            if self.variant == "avgpool" or i % 2:
-                modes.append("none")
-                continue
-            if self.variant == "patch_only":
-                modes.append("tps")
-            elif self.variant == "channel_only":
-                modes.append("tcs")
-            else:
-                modes.append("tps" if shift_slot % 2 == 0 else "tcs")
-            shift_slot += 1
-        return tuple(modes)
+        kinds = {"avgpool": ("none", "none"), "patch_only": ("tps", "tps"),
+                 "channel_only": ("tcs", "tcs"), "combined": ("tps", "tcs")}[self.variant]
+        return tuple("none" if i % 2 else kinds[i // 2 % 2] for i in range(self.depth))
 
 
 def _trunc_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
@@ -147,12 +137,7 @@ def _trunc_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
 def _check_geometry(config: ModelConfig, pattern: ShiftPattern) -> None:
     """Windows tile the token grid, the pattern tiles a window, the channel split is whole."""
     _, grid_h, grid_w = config.token_extents()
-    wh, ww = config.window
-    WindowLayout(wh, ww).check_divides(grid_h, grid_w)
-    if wh % pattern.height or ww % pattern.width:
-        raise ShapeError(
-            f"pattern {pattern.height}x{pattern.width} does not tile window {wh}x{ww}"
-        )
+    config.layout().check_divides(grid_h, grid_w, pattern)
     shifted_channels(config.dim, config.channel_ratio)
 
 
@@ -278,23 +263,22 @@ def encoder_block(
     z: Tensor,
     mode: str,
 ) -> Tensor:
-    """Pre-norm block: z + Shifted-SA(LN(z)), then h + FFN(LN(h))."""
+    """Pre-norm block: z + Shifted-SA(LN(z)), then h + FFN(LN(h)).
+
+    mode "tps" shifts patches by the model's pattern, "tcs" shifts
+    channel_ratio of the channels, "none" shifts nothing.
+    """
+    if mode not in ("tps", "tcs", "none"):
+        raise ContractError(f"unknown block mode {mode!r}")
     config = model.config
     p = model.params
-    layout = config.layout()
-    ap = model.attention_params(block)
+    pattern = model.pattern if mode == "tps" else _NONE_PATTERN
+    ratio = config.channel_ratio if mode == "tcs" else 0.0
 
     x = layer_norm(tape, z, p[f"block{block}.ln1.g"], p[f"block{block}.ln1.b"])
-    if mode == "tps":
-        att = patch_shift_attention(tape, x, model.pattern, layout, ap)
-    elif mode == "tcs":
-        xs = channel_shift(tape, x, config.channel_ratio, ShiftDirection.FORWARD)
-        att = patch_shift_attention(tape, xs, _NONE_PATTERN, layout, ap)
-        att = channel_shift(tape, att, config.channel_ratio, ShiftDirection.INVERSE)
-    elif mode == "none":
-        att = patch_shift_attention(tape, x, _NONE_PATTERN, layout, ap)
-    else:
-        raise ContractError(f"unknown block mode {mode!r}")
+    att = patch_shift_attention(
+        tape, x, pattern, config.layout(), model.attention_params(block), ratio
+    )
     h = add(tape, z, att)
 
     y = layer_norm(tape, h, p[f"block{block}.ln2.g"], p[f"block{block}.ln2.b"])

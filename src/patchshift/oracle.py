@@ -24,7 +24,7 @@ import numpy as np
 from .attention import AttentionParams, WindowLayout, _merge_heads, _split_heads
 from .errors import ContractError, ShapeError
 from .patterns import ShiftPattern, tile_offsets
-from .tensor import Tape, Tensor, matmul, reshape, softmax, swap_last
+from .tensor import Tape, Tensor, matmul, reshape, softmax
 
 __all__ = [
     "gather_sets",
@@ -109,8 +109,8 @@ def joint_attention(tape: Tape | None, z: Tensor, params: AttentionParams) -> Te
     if d != params.dim:
         raise ShapeError(f"token dim {d} != params dim {params.dim}")
     tokens = reshape(tape, z, (t_len * grid_h * grid_w, d))
-    q, k, v = _split_heads(tape, tokens, params)
-    scores = matmul(tape, q, swap_last(tape, k), label="score")
+    q, k_t, v = _split_heads(tape, tokens, params)
+    scores = matmul(tape, q, k_t, label="score")
     weights = softmax(tape, scores, axis=-1)  # scale folded out: cost reference only
     ctx = matmul(tape, weights, v, label="agg")
     return _merge_heads(tape, ctx, params, z.shape)

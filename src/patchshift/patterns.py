@@ -116,7 +116,11 @@ def resolve_pattern(spec: str) -> ShiftPattern:
         return build_pattern(spec)
     path = Path(spec)
     if path.is_file():
-        return parse_pattern_text(path.read_text(), name=path.stem)
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ContractError(f"cannot read pattern file {spec}: {exc}") from None
+        return parse_pattern_text(text, name=path.stem)
     raise ContractError(f"pattern {spec!r} is neither a built-in name nor a pattern file")
 
 

@@ -23,6 +23,7 @@ __all__ = [
     "channel_shift",
     "generic_shift",
     "source_frames",
+    "channel_offsets",
     "patch_selection",
     "channel_selection",
     "shifted_channels",
@@ -51,18 +52,24 @@ def _clip_offsets(z: Tensor) -> np.ndarray:
     return np.arange(z.size // per_clip)[:, None] * per_clip
 
 
-def _gather_by_source(tape: Tape | None, z: Tensor, t_src: np.ndarray) -> Tensor:
-    """Reindex z so out[..., t, r, c, d] = z[..., t_src[t, r, c, d], r, c, d]."""
+def _source_index(t_src: np.ndarray) -> np.ndarray:
+    """Per-clip flat index of z[t_src[t, r, c, d], r, c, d], shaped (T, H, W, D)."""
+    t, h, w, d = t_src.shape
+    return t_src * (h * w * d) + np.arange(h * w * d).reshape(h, w, d)
+
+
+def _shift_by(tape: Tape | None, z: Tensor, offsets: np.ndarray) -> Tensor:
+    """out[..., t, r, c, d] = z[..., (t + offsets[r, c, d]) mod T, r, c, d]."""
     t, h, w, d = z.shape[-4:]
-    site = np.arange(h * w * d).reshape(1, h, w, d)
-    flat = t_src * (h * w * d) + site
-    return gather(tape, z, _clip_offsets(z) + flat.reshape(1, -1), z.shape)
+    t_src = source_frames(np.broadcast_to(offsets, (h, w, d)), t)
+    return gather(tape, z, _clip_offsets(z) + _source_index(t_src).reshape(1, -1), z.shape)
 
 
-def source_frames(grid: np.ndarray, t: int) -> np.ndarray:
-    """Per (frame, site) source-frame index implied by an offset grid: (t + g) mod T."""
-    grid = np.asarray(grid, dtype=np.int64)
-    return (np.arange(t)[:, None, None] + grid[None, :, :]) % t
+def source_frames(offsets: np.ndarray, t: int) -> np.ndarray:
+    """Source frame (t + o) mod T of every frame t and every entry o of a per-site
+    (H, W) or per-element (H, W, D) offset array, shaped (T, *offsets.shape)."""
+    offsets = np.asarray(offsets, dtype=np.int64)
+    return (np.arange(t).reshape(-1, *[1] * offsets.ndim) + offsets) % t
 
 
 def patch_shift(
@@ -82,8 +89,7 @@ def patch_shift(
     if grid.shape != (h, w):
         raise ShapeError(f"offset grid {grid.shape} does not match patch grid {(h, w)}")
     sign = 1 if direction is ShiftDirection.FORWARD else -1
-    t_src = source_frames(sign * grid, t)
-    return _gather_by_source(tape, z, t_src[..., None].repeat(d, axis=-1))
+    return _shift_by(tape, z, sign * grid[..., None])
 
 
 def shifted_channels(dim: int, ratio: float) -> int:
@@ -99,6 +105,13 @@ def shifted_channels(dim: int, ratio: float) -> int:
     return m
 
 
+def channel_offsets(dim: int, ratio: float) -> np.ndarray:
+    """Per-channel frame offset of a channel shift: -1 on the first ratio/2
+    of the channels, +1 on the next ratio/2, 0 on the rest."""
+    m = shifted_channels(dim, ratio)
+    return np.repeat(np.array([-1, 1, 0], dtype=np.int64), [m, m, dim - 2 * m])
+
+
 def channel_shift(
     tape: Tape | None,
     z: Tensor,
@@ -111,15 +124,9 @@ def channel_shift(
     from t+1, the rest stay.  Wrap is cyclic at both temporal ends, same
     as patch_shift, so the inverse direction is an exact undo.
     """
-    t, h, w, d = _check_tokens(z)
-    m = shifted_channels(d, ratio)
-    ch_off = np.zeros(d, dtype=np.int64)
-    ch_off[:m] = -1
-    ch_off[m : 2 * m] = 1
-    if direction is ShiftDirection.INVERSE:
-        ch_off = -ch_off
-    t_src = (np.arange(t)[:, None, None, None] + ch_off[None, None, None, :]) % t
-    return _gather_by_source(tape, z, np.broadcast_to(t_src, (t, h, w, d)))
+    d = _check_tokens(z)[-1]
+    sign = 1 if direction is ShiftDirection.FORWARD else -1
+    return _shift_by(tape, z, sign * channel_offsets(d, ratio))
 
 
 def generic_shift(tape: Tape | None, z: Tensor, mask: np.ndarray, src: np.ndarray) -> Tensor:
@@ -137,10 +144,7 @@ def generic_shift(tape: Tape | None, z: Tensor, mask: np.ndarray, src: np.ndarra
         raise ShapeError(f"source offsets {src.shape} must be {(h, w)}")
     if not np.isin(mask, (0, 1)).all():
         raise ContractError("selection mask entries must be 0 or 1")
-    frames = np.arange(t)[:, None, None, None]
-    shifted = (frames + src[None, :, :, None]) % t
-    t_src = np.where(mask[None].astype(bool), shifted, np.broadcast_to(frames, (t, h, w, d)))
-    return _gather_by_source(tape, z, t_src)
+    return _shift_by(tape, z, mask * src[:, :, None])
 
 
 def patch_selection(grid: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:

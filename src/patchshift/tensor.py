@@ -25,7 +25,7 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, ShapeError
+from .errors import ContractError, NonFiniteError, ShapeError
 
 __all__ = [
     "Tensor",
@@ -38,7 +38,6 @@ __all__ = [
     "reshape",
     "gather",
     "transpose",
-    "swap_last",
     "softmax",
     "layer_norm",
     "gelu",
@@ -56,7 +55,7 @@ class Tensor:
     def __init__(self, data) -> None:
         arr = np.array(data, dtype=np.float64, order="C")
         if not np.isfinite(arr).all():
-            raise ContractError("tensor holds non-finite values")
+            raise NonFiniteError("tensor holds non-finite values")
         arr.flags.writeable = False
         self.data = arr
 
@@ -68,7 +67,7 @@ class Tensor:
         if arr.ndim and not arr.flags.c_contiguous:
             arr = np.ascontiguousarray(arr)  # keeps 0-d shape () intact
         if not np.isfinite(arr).all():
-            raise ContractError("operation produced non-finite values")
+            raise NonFiniteError("operation produced non-finite values")
         if arr.flags.writeable:
             arr.flags.writeable = False
         out.data = arr
@@ -311,14 +310,6 @@ def transpose(tape: Tape | None, x: Tensor, axes: Sequence[int]) -> Tensor:
     return tape.emit(
         y, (x,), lambda g: (g.transpose(inverse),), lambda: xd.transpose(axes)
     )
-
-
-def swap_last(tape: Tape | None, x: Tensor) -> Tensor:
-    """Swap the last two axes (used for K^T in attention scores)."""
-    if x.ndim < 2:
-        raise ShapeError(f"swap_last wants >=2-d, got {x.shape}")
-    axes = tuple(range(x.ndim - 2)) + (x.ndim - 1, x.ndim - 2)
-    return transpose(tape, x, axes)
 
 
 def _softmax_raw(arr: np.ndarray, axis: int) -> np.ndarray:

@@ -13,8 +13,11 @@ from patchshift.attention import (
     window_mhsa,
 )
 from patchshift.errors import ContractError, ShapeError
+from patchshift.model import Model, ModelConfig, encoder_block
+from patchshift.oracle import oracle_attention
 from patchshift.patterns import build_pattern
-from patchshift.tensor import Tape, Tensor
+from patchshift.shifts import ShiftDirection, channel_shift, shifted_channels
+from patchshift.tensor import Tape, Tensor, gelu, mean
 
 
 def make_params(rng, dim, heads, t_max, layout, bias_scale=0.5):
@@ -306,3 +309,70 @@ class TestPatchShiftAttention:
             patch_shift_attention(tape, z, build_pattern("bayerA"), layout, p)
             lengths.append(len(tape.records))
         assert lengths[0] == lengths[1]
+
+
+class TestChannelShiftFold:
+    """A channel ratio folds the channel shift into the partition and merge gathers."""
+
+    @staticmethod
+    def _value_and_grads(run, z, p):
+        tape = Tape()
+        out = run(tape, z)
+        loss = mean(tape, gelu(tape, out), tuple(range(out.ndim)))
+        grads = tape.backward(loss)
+        return out.data, [grads[t] for t in (z, p.w_q, p.w_k, p.w_v, p.w_out, p.bias_table)]
+
+    @pytest.mark.parametrize("ratio", [0.25, 0.5])
+    def test_equals_channel_shift_around_attention(self, ratio):
+        rng = np.random.default_rng(14)
+        layout = WindowLayout(2, 2)
+        p = make_params(rng, 8, 2, 4, layout)
+        z = Tensor(rng.normal(size=(2, 4, 4, 4, 8)))
+        none = build_pattern("none")
+
+        def fused(tape, x):
+            return patch_shift_attention(tape, x, none, layout, p, ratio)
+
+        def composed(tape, x):
+            xs = channel_shift(tape, x, ratio, ShiftDirection.FORWARD)
+            att = patch_shift_attention(tape, xs, none, layout, p)
+            return channel_shift(tape, att, ratio, ShiftDirection.INVERSE)
+
+        got, got_grads = self._value_and_grads(fused, z, p)
+        want, want_grads = self._value_and_grads(composed, z, p)
+        assert np.array_equal(got, want)
+        for g, w in zip(got_grads, want_grads):
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("ratio", [0.25, 0.5])
+    def test_matches_oracle_on_channel_rolled_tokens(self, ratio):
+        rng = np.random.default_rng(15)
+        layout = WindowLayout(2, 2)
+        p = make_params(rng, 8, 2, 4, layout)
+        z = rng.normal(size=(2, 3, 4, 4, 8))
+        m = shifted_channels(8, ratio)
+        none = build_pattern("none")
+
+        def roll(x, sign):
+            # channels [0, m) come from frame t - sign, [m, 2m) from t + sign
+            out = x.copy()
+            out[..., :m] = np.roll(x[..., :m], sign, axis=0)
+            out[..., m : 2 * m] = np.roll(x[..., m : 2 * m], -sign, axis=0)
+            return out
+
+        got = patch_shift_attention(None, Tensor(z), none, layout, p, ratio)
+        for clip in range(2):
+            att = oracle_attention(Tensor(roll(z[clip], 1)), none, layout, p)
+            assert np.abs(got.data[clip] - roll(att, -1)).max() <= 1e-9
+
+    def test_encoder_block_records_alike_for_every_mode(self):
+        config = ModelConfig(depth=1, dim=8, heads=2, window=(2, 2), pattern="bayerA",
+                             frames=4, height=8, width=8, tubelet_t=1, tubelet_s=2)
+        model = Model.init(config, seed=0)
+        z = Tensor(np.random.default_rng(16).normal(size=(2, 4, 4, 4, 8)))
+        lengths = set()
+        for mode in ("tps", "tcs", "none"):
+            tape = Tape()
+            encoder_block(tape, model, 0, z, mode)
+            lengths.add(len(tape.records))
+        assert len(lengths) == 1

@@ -1,6 +1,7 @@
 """Command-line interface: all five subcommands, exit codes, artifacts."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -55,6 +56,13 @@ class TestPattern:
     def test_unknown_pattern_is_usage_error(self, capsys):
         assert main(["pattern", "nosuch"]) == USAGE_ERROR
         assert "error:" in capsys.readouterr().err
+
+    def test_non_utf8_pattern_file_is_usage_error(self, capsys, tmp_path):
+        src = tmp_path / "bad.txt"
+        src.write_bytes(b"\xff\xfe 1 1\n0\n")
+        assert main(["pattern", str(src)]) == USAGE_ERROR
+        err = capsys.readouterr().err
+        assert f"cannot read pattern file {src}" in err and err.count("\n") == 1
 
     def test_bad_grid_is_usage_error(self, capsys):
         assert main(["pattern", "bayerA", "--grid", "4by4"]) == USAGE_ERROR
@@ -175,6 +183,24 @@ class TestRun:
         assert main(["run", str(cfg), "--model.window", "[2]"]) == DATA_ERROR
         err = capsys.readouterr().err
         assert "window must be two positive ints" in err and err.count("\n") == 1
+
+    def test_non_utf8_pattern_file_is_usage_error(self, capsys, tmp_path):
+        src = tmp_path / "bad.txt"
+        src.write_bytes(b"\xff\xfe 1 1\n0\n")
+        cfg = run_config(tmp_path)
+        assert main(["run", str(cfg), "--model.pattern", str(src)]) == USAGE_ERROR
+        err = capsys.readouterr().err
+        assert f"cannot read pattern file {src}" in err and err.count("\n") == 1
+
+    def test_divergence_names_epoch_and_step(self, capsys, tmp_path):
+        cfg = run_config(tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", str(cfg), "--train.lr", "1e308"]) == DATA_ERROR
+        assert caught == []  # numpy's overflow warnings stay silent
+        err = capsys.readouterr().err
+        assert err.startswith("error: training diverged at epoch 0, step ")
+        assert err.endswith(" non-finite values\n") and err.count("\n") == 1
 
     def test_missing_config_is_usage_error(self, capsys, tmp_path):
         assert main(["run", str(tmp_path / "absent.json")]) == USAGE_ERROR

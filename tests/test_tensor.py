@@ -22,7 +22,6 @@ from patchshift.tensor import (
     reshape,
     scale,
     softmax,
-    swap_last,
     transpose,
 )
 
@@ -114,9 +113,6 @@ class TestForwardValues:
         x = Tensor(rng.normal(size=(2, 3, 4)))
         np.testing.assert_array_equal(
             transpose(None, x, (2, 0, 1)).data, x.data.transpose(2, 0, 1)
-        )
-        np.testing.assert_array_equal(
-            swap_last(None, x).data, x.data.swapaxes(-1, -2)
         )
 
     def test_softmax_rows_sum_to_one(self):
