@@ -10,6 +10,7 @@ shifted patches around.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -189,6 +190,40 @@ def window_mhsa(tape: Tape | None, x: Tensor, params: AttentionParams, index: np
     return _merge_heads(tape, ctx, params, x.shape)
 
 
+@functools.lru_cache(maxsize=32)
+def _plan(
+    grid_bytes: bytes,
+    grid_shape: tuple[int, int],
+    layout: WindowLayout,
+    geometry: tuple[int, int, int, int],
+    channel_ratio: float,
+    t_max: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only per-clip index moves of patch_shift_attention for one geometry.
+
+    Returns the partition index (T, nW, n, D), the merge index (T*H*W*D,)
+    that inverts it, and the relpos index (T, 1, n, n).  The key holds the
+    pattern's offsets, not its name, so two grids that share a name never
+    share a plan.
+    """
+    offsets = np.frombuffer(grid_bytes, dtype=np.int64).reshape(grid_shape)
+    wh, ww = layout.height, layout.width
+    t_len, grid_h, grid_w, d = geometry
+    grid = tile_offsets(ShiftPattern("", offsets), grid_h, grid_w)
+    t_src = source_frames(grid[..., None] + channel_offsets(d, channel_ratio), t_len)
+    blocks = _source_index(t_src).reshape(t_len, grid_h // wh, wh, grid_w // ww, ww, d)
+    partition = blocks.transpose(0, 1, 3, 2, 4, 5).reshape(t_len, -1, layout.tokens, d)
+    merge = np.empty(partition.size, dtype=np.int64)
+    merge[partition.ravel()] = np.arange(partition.size)
+    # Every window at a given t has the same patch frames because the
+    # pattern tiles the window, so the first window's stand for the frame's.
+    src = source_frames(grid[:wh, :ww], t_len)
+    index = relpos_index(layout, src[:, None], t_max)
+    for arr in (partition, merge, index):
+        arr.flags.writeable = False
+    return partition, merge, index
+
+
 def patch_shift_attention(
     tape: Tape | None,
     z: Tensor,
@@ -208,7 +243,9 @@ def patch_shift_attention(
     inverse shift is the inverse gather.  The position bias is keyed on
     each patch's frame (t + g[r, c]) mod T, so channels keep their host
     frame's bias.  The pattern must tile the window so every window sees
-    the same offset layout; the caller owns the residual connection.
+    the same offset layout; the caller owns the residual connection.  The
+    index moves of one clip are built once per geometry (_plan); a call
+    only offsets them to each clip.
     """
     t_len, grid_h, grid_w, d = _check_tokens(z)
     layout.check_divides(grid_h, grid_w, pattern)
@@ -219,20 +256,11 @@ def patch_shift_attention(
             f"bias table covers {params.t_max} frames, tokens have {t_len}"
         )
 
-    wh, ww = layout.height, layout.width
-    grid = tile_offsets(pattern, grid_h, grid_w)
-    t_src = source_frames(grid[..., None] + channel_offsets(d, channel_ratio), t_len)
-    blocks = _source_index(t_src).reshape(t_len, grid_h // wh, wh, grid_w // ww, ww, d)
-    partition = blocks.transpose(0, 1, 3, 2, 4, 5).reshape(t_len, -1, layout.tokens, d)
-    merge = np.empty(partition.size, dtype=np.int64)
-    merge[partition.ravel()] = np.arange(partition.size)
+    partition, merge, index = _plan(
+        pattern.offsets.tobytes(), pattern.offsets.shape, layout,
+        (t_len, grid_h, grid_w, d), channel_ratio, params.t_max,
+    )
     offsets = _clip_offsets(z)
-    lead = z.shape[:-4]
-    windows = gather(tape, z, offsets + partition.reshape(1, -1), (*lead, *partition.shape))
-
-    # Every window at a given t has the same patch frames because the
-    # pattern tiles the window, so the first window's stand for the frame's.
-    src = source_frames(grid[:wh, :ww], t_len)
-    index = relpos_index(layout, src[:, None], params.t_max)
+    windows = gather(tape, z, offsets + partition.reshape(1, -1), (*z.shape[:-4], *partition.shape))
     out = window_mhsa(tape, windows, params, index)
     return gather(tape, out, offsets + merge, z.shape)

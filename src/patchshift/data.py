@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import json
 import math
+import zlib
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, ShapeError, check_keys
+from .errors import ContractError, ShapeError, check_crc32, check_format, check_keys
 
 __all__ = [
     "TASKS",
@@ -34,7 +35,7 @@ __all__ = [
 
 TASKS = ("direction4", "reversal2")
 
-DATASET_FORMAT = "patchshift-dataset-v1"
+DATASET_FORMAT = "patchshift-dataset-v2"
 
 DOT = 2  # dot side length in pixels
 
@@ -168,7 +169,8 @@ def split_dataset(spec: TaskSpec, samples) -> tuple[list, list]:
 
 
 # ---------------------------------------------------------------------------
-# on-disk form: <stem>.json sidecar + <stem>.bin raw little-endian float64
+# on-disk form: <stem>.json sidecar (with the blob's crc32) + <stem>.bin raw
+# little-endian float64
 
 
 def save_dataset(stem, spec: TaskSpec, seed: int, samples) -> tuple[Path, Path]:
@@ -176,8 +178,10 @@ def save_dataset(stem, spec: TaskSpec, seed: int, samples) -> tuple[Path, Path]:
     stem.parent.mkdir(parents=True, exist_ok=True)
     sidecar = stem.with_suffix(".json")
     blob = stem.with_suffix(".bin")
+    data = b"".join(np.ascontiguousarray(s.video, dtype="<f8").tobytes() for s in samples)
     meta = {
         "format": DATASET_FORMAT,
+        "blob_crc32": zlib.crc32(data),
         "spec": asdict(spec),
         "seed": seed,
         "count": len(samples),
@@ -186,13 +190,11 @@ def save_dataset(stem, spec: TaskSpec, seed: int, samples) -> tuple[Path, Path]:
         "sample_seeds": [s.seed for s in samples],
     }
     sidecar.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
-    with blob.open("wb") as fh:
-        for s in samples:
-            fh.write(np.ascontiguousarray(s.video, dtype="<f8").tobytes())
+    blob.write_bytes(data)
     return sidecar, blob
 
 
-_SIDECAR_KEYS = {"format", "spec", "seed", "count", "video_shape", "labels", "sample_seeds"}
+_SIDECAR_KEYS = {"format", "blob_crc32", "spec", "seed", "count", "video_shape", "labels", "sample_seeds"}
 
 
 def load_dataset(stem) -> tuple[TaskSpec, int, list[SyntheticSample]]:
@@ -202,14 +204,15 @@ def load_dataset(stem) -> tuple[TaskSpec, int, list[SyntheticSample]]:
     exactly the TaskSpec fields (else ContractError).  The clip count must
     be the spec's train + val count, with one label and one sample seed per
     clip, the video shape must be the spec's, and the blob must hold exactly
-    that many float64 clips (else ShapeError).
+    that many float64 clips (else ShapeError) and match the sidecar's crc32
+    (else ContractError).
     """
     stem = Path(stem)
     sidecar = stem.with_suffix(".json")
     blob = stem.with_suffix(".bin")
     meta = json.loads(sidecar.read_text())
-    if not isinstance(meta, dict) or meta.get("format") != DATASET_FORMAT:
-        raise ContractError(f"not a dataset sidecar: {sidecar}")
+    fmt = meta.get("format") if isinstance(meta, dict) else None
+    check_format("dataset sidecar", sidecar, fmt, DATASET_FORMAT)
     check_keys("dataset sidecar", meta, _SIDECAR_KEYS)
     if not isinstance(meta["spec"], dict):
         raise ContractError("dataset spec must be a JSON object")
@@ -237,6 +240,7 @@ def load_dataset(stem) -> tuple[TaskSpec, int, list[SyntheticSample]]:
     per = math.prod(shape)
     if raw.size != per * count:
         raise ShapeError(f"blob holds {raw.size} floats, sidecar promises {per * count}")
+    check_crc32(f"dataset blob {blob}", data, meta["blob_crc32"])
     samples = [
         SyntheticSample(raw[i * per : (i + 1) * per].reshape(shape).copy(), label, s)
         for i, (label, s) in enumerate(zip(meta["labels"], meta["sample_seeds"]))

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types and file-validation checks shared across the package."""
+
+import zlib
 
 
 class ShapeError(ValueError):
@@ -24,3 +26,24 @@ def check_keys(what: str, got, expected, noun: str = "keys") -> None:
     ]
     if parts:
         raise ContractError(f"{what} has {' and '.join(parts)}")
+
+
+def check_format(what: str, path, got, expected: str) -> None:
+    """Raise ContractError unless a file's format tag is expected.
+
+    A tag of the same family with another version (``…-v1`` for ``…-v2``)
+    is named as unsupported; anything else is not such a file at all.
+    """
+    if got == expected:
+        return
+    family = expected.rsplit("-", 1)[0] + "-"
+    if isinstance(got, str) and got.startswith(family):
+        raise ContractError(f"{what} {path} has format {got!r}; only {expected!r} is read")
+    raise ContractError(f"not a {what}: {path}")
+
+
+def check_crc32(what: str, blob: bytes, stored) -> None:
+    """Raise ContractError unless stored is the zlib.crc32 of blob."""
+    computed = zlib.crc32(blob)
+    if stored != computed:
+        raise ContractError(f"{what} fails its crc32 check: stored {stored!r}, computed {computed}")

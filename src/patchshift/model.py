@@ -14,13 +14,14 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import zlib
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .attention import AttentionParams, WindowLayout, patch_shift_attention
-from .errors import ContractError, ShapeError, check_keys
+from .errors import ContractError, ShapeError, check_crc32, check_format, check_keys
 from .patterns import ShiftPattern, build_pattern, pattern_hash, resolve_pattern
 from .shifts import shifted_channels
 from .tensor import (
@@ -58,7 +59,7 @@ INIT_STD = 0.02
 # Token sites (clips x T x grid_h x grid_w) one training tape or inference
 # forward holds at most: bounds tape memory while batching small clips.
 TAPE_SITES = 64
-CHECKPOINT_FORMAT = "patchshift-checkpoint-v1"
+CHECKPOINT_FORMAT = "patchshift-checkpoint-v2"
 
 
 @dataclass(frozen=True)
@@ -403,7 +404,8 @@ def unpack_params(tape: Tape | None, vector: Tensor, layout) -> dict[str, Tensor
 
 
 # ---------------------------------------------------------------------------
-# checkpoint format: one JSON header line, then raw little-endian float64
+# checkpoint format: one JSON header line (with the blob's crc32), then raw
+# little-endian float64
 
 
 def save_checkpoint(path, model: Model) -> None:
@@ -413,8 +415,11 @@ def save_checkpoint(path, model: Model) -> None:
     for name, t in model.params.items():
         tensors.append({"name": name, "shape": list(t.shape), "offset": offset})
         offset += t.size * 8
+    blob = b"".join(np.ascontiguousarray(t.data, dtype="<f8").tobytes()
+                    for t in model.params.values())
     header = {
         "format": CHECKPOINT_FORMAT,
+        "blob_crc32": zlib.crc32(blob),
         "config": asdict(model.config),
         "pattern": {
             "name": model.pattern.name,
@@ -425,8 +430,7 @@ def save_checkpoint(path, model: Model) -> None:
     }
     with path.open("wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        for t in model.params.values():
-            fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+        fh.write(blob)
 
 
 def _checkpoint_config(raw) -> ModelConfig:
@@ -461,8 +465,9 @@ def load_checkpoint(path) -> Model:
 
     The header must hold exactly the config fields, a pattern grid that
     matches its hash, and a tensor directory naming every parameter of
-    Model.init(config) with its shape, laid out over the whole blob.  Any
-    mismatch raises ContractError.
+    Model.init(config) with its shape, laid out over the whole blob, and
+    the blob must match its stored crc32.  Any mismatch raises
+    ContractError.
     """
     path = Path(path)
     with path.open("rb") as fh:
@@ -472,8 +477,8 @@ def load_checkpoint(path) -> Model:
         header = json.loads(line.decode())
     except (UnicodeDecodeError, json.JSONDecodeError):
         header = None
-    if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
-        raise ContractError(f"not a checkpoint file: {path}")
+    fmt = header.get("format") if isinstance(header, dict) else None
+    check_format("checkpoint file", path, fmt, CHECKPOINT_FORMAT)
     config = _checkpoint_config(header.get("config"))
     pattern = _checkpoint_pattern(header.get("pattern"))
     try:
@@ -510,8 +515,8 @@ def load_checkpoint(path) -> Model:
                 f"checkpoint blob holds {len(blob)} bytes, tensor {name!r} "
                 f"needs bytes {start} to {start + 8 * size}"
             )
-        arr = np.frombuffer(blob, dtype="<f8", count=size, offset=start).reshape(shape)
-        params[name] = Tensor(arr)
+        params[name] = np.frombuffer(blob, dtype="<f8", count=size, offset=start).reshape(shape)
     if end != len(blob):
         raise ContractError(f"checkpoint blob holds {len(blob)} bytes, tensor directory covers {end}")
-    return Model(config, params, pattern)
+    check_crc32("checkpoint blob", blob, header.get("blob_crc32"))
+    return Model(config, {name: Tensor(arr) for name, arr in params.items()}, pattern)

@@ -195,20 +195,27 @@ def affine(tape: Tape | None, x: Tensor, w: Tensor, b: Tensor, label: str = "aff
             f"affine mismatch: x {x.shape} vs w {w.shape} vs b {b.shape}"
         )
     xd, wd, bd = x.data, w.data, b.data
-    y = xd @ wd.T + bd
+    x2 = xd.reshape(-1, in_dim)
+
+    def forward():
+        # one (m, in) @ (in, out) product over every leading row, bias in place
+        y = x2 @ wd.T
+        y += bd
+        return y.reshape(*xd.shape[:-1], out_dim)
+
+    y = forward()
     if tape is None:
         return Tensor._wrap(y)
     tape.add_macs(label, x.size * out_dim)
 
     def backward(g):
         g2 = g.reshape(-1, out_dim)
-        x2 = xd.reshape(-1, in_dim)
         dx = (g2 @ wd).reshape(xd.shape)
         dw = g2.T @ x2
         db = g2.sum(axis=0)
         return dx, dw, db
 
-    return tape.emit(y, (x, w, b), backward, lambda: xd @ wd.T + bd)
+    return tape.emit(y, (x, w, b), backward, forward)
 
 
 def matmul(tape: Tape | None, a: Tensor, b: Tensor, label: str = "matmul") -> Tensor:

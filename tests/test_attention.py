@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from patchshift import attention
 from patchshift.attention import (
     AttentionParams,
     WindowLayout,
@@ -15,7 +16,7 @@ from patchshift.attention import (
 from patchshift.errors import ContractError, ShapeError
 from patchshift.model import Model, ModelConfig, encoder_block
 from patchshift.oracle import oracle_attention
-from patchshift.patterns import build_pattern
+from patchshift.patterns import ShiftPattern, build_pattern
 from patchshift.shifts import ShiftDirection, channel_shift, shifted_channels
 from patchshift.tensor import Tape, Tensor, gelu, mean
 
@@ -376,3 +377,94 @@ class TestChannelShiftFold:
             encoder_block(tape, model, 0, z, mode)
             lengths.add(len(tape.records))
         assert len(lengths) == 1
+
+
+class TestPlanCache:
+    """patch_shift_attention builds its index moves once per geometry."""
+
+    @staticmethod
+    def _plan(pattern, layout, z_shape, p, ratio=0.0):
+        return attention._plan(pattern.offsets.tobytes(), pattern.offsets.shape, layout,
+                               tuple(z_shape[-4:]), ratio, p.t_max)
+
+    def test_second_call_builds_no_index(self, monkeypatch):
+        built = []
+        real = attention.relpos_index
+        monkeypatch.setattr(attention, "relpos_index",
+                            lambda *args: built.append(args) or real(*args))
+        rng = np.random.default_rng(20)
+        layout = WindowLayout(2, 2)
+        p = make_params(rng, 8, 2, 4, layout)
+        attention._plan.cache_clear()
+        for shape in ((3, 4, 4, 8), (2, 3, 4, 4, 8)):
+            patch_shift_attention(None, Tensor(rng.normal(size=shape)),
+                                  build_pattern("bayerA"), layout, p)
+        assert len(built) == 1
+        info = attention._plan.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_plan_arrays_are_read_only(self):
+        rng = np.random.default_rng(21)
+        layout = WindowLayout(2, 2)
+        p = make_params(rng, 8, 2, 4, layout)
+        for arr in self._plan(build_pattern("bayerA"), layout, (3, 4, 4, 8), p, 0.25):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr.flat[0] = 0
+
+    def test_same_name_grids_get_distinct_plans(self):
+        rng = np.random.default_rng(22)
+        layout = WindowLayout(2, 2)
+        p = make_params(rng, 8, 2, 4, layout)
+        z = Tensor(rng.normal(size=(4, 4, 4, 8)))
+        grids = ([[0, 1], [-1, 0]], [[1, 0], [0, -1]])
+        for grid in grids:
+            pattern = ShiftPattern("custom", np.array(grid))
+            got = patch_shift_attention(None, z, pattern, layout, p)
+            assert np.abs(got.data - oracle_attention(z, pattern, layout, p)).max() <= 1e-9
+        a, b = (self._plan(ShiftPattern("custom", np.array(g)), layout, z.shape, p)[0]
+                for g in grids)
+        assert not np.array_equal(a, b)
+
+    def test_channel_ratios_get_distinct_plans(self):
+        rng = np.random.default_rng(23)
+        layout = WindowLayout(2, 2)
+        p = make_params(rng, 8, 2, 4, layout)
+        none = build_pattern("none")
+        plans = [self._plan(none, layout, (4, 4, 4, 8), p, ratio) for ratio in (0.0, 0.25, 0.5)]
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            assert not np.array_equal(plans[i][0], plans[j][0])
+
+    def test_one_clip_then_three_clips_match_oracle(self):
+        rng = np.random.default_rng(24)
+        layout = WindowLayout(2, 2)
+        p = make_params(rng, 8, 2, 4, layout)
+        pattern = build_pattern("bayerA")
+        one = rng.normal(size=(4, 4, 4, 8))
+        three = rng.normal(size=(3, 4, 4, 4, 8))
+        got = patch_shift_attention(None, Tensor(one), pattern, layout, p)
+        assert np.abs(got.data - oracle_attention(Tensor(one), pattern, layout, p)).max() <= 1e-9
+        got = patch_shift_attention(None, Tensor(three), pattern, layout, p)
+        for clip in range(3):
+            want = oracle_attention(Tensor(three[clip]), pattern, layout, p)
+            assert np.abs(got.data[clip] - want).max() <= 1e-9
+
+
+def test_model_logits_calls_window_mhsa_once_per_block(monkeypatch):
+    # The benchmark's tracer counts attention scores inside window_mhsa's
+    # span, so every block must reach the module-level window_mhsa, once.
+    calls = []
+    real = attention.window_mhsa
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(attention, "window_mhsa", counting)
+    config = ModelConfig(depth=3, dim=8, heads=2, window=(2, 2), pattern="bayerA",
+                         variant="combined", frames=4, height=8, width=8,
+                         tubelet_t=1, tubelet_s=2)
+    model = Model.init(config, seed=0)
+    video = Tensor(np.random.default_rng(25).normal(size=(2, 4, 8, 8, 3)))
+    model.logits(Tape(), video)
+    assert len(calls) == config.depth

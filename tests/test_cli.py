@@ -307,6 +307,54 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_flipped_checkpoint_blob_byte_is_usage_error(self, capsys, artifacts, tmp_path):
+        # the low byte of the last float: a finite value that only the crc32 catches
+        ckpt, stem = artifacts
+        raw = bytearray(ckpt.read_bytes())
+        raw[-8] ^= 0x01
+        bad = tmp_path / "flipped.ckpt"
+        bad.write_bytes(bytes(raw))
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(bad), "--data", str(stem)]) == USAGE_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad checkpoint:") and "crc32" in err and err.count("\n") == 1
+
+    def test_flipped_dataset_blob_byte_is_data_error(self, capsys, artifacts):
+        ckpt, stem = artifacts
+        blob = stem.with_suffix(".bin")
+        raw = bytearray(blob.read_bytes())
+        raw[8] ^= 0x01
+        blob.write_bytes(bytes(raw))
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(stem)]) == DATA_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "crc32" in err and err.count("\n") == 1
+
+    def test_v1_checkpoint_is_usage_error(self, capsys, artifacts, tmp_path):
+        ckpt, stem = artifacts
+
+        def to_v1(header):
+            header["format"] = "patchshift-checkpoint-v1"
+            del header["blob_crc32"]
+
+        bad = self._edit_header(ckpt, tmp_path, to_v1)
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(bad), "--data", str(stem)]) == USAGE_ERROR
+        err = capsys.readouterr().err
+        assert "'patchshift-checkpoint-v1'" in err and err.count("\n") == 1
+
+    def test_v1_dataset_is_data_error(self, capsys, artifacts):
+        ckpt, stem = artifacts
+        sidecar = stem.with_suffix(".json")
+        meta = json.loads(sidecar.read_text())
+        meta["format"] = "patchshift-dataset-v1"
+        del meta["blob_crc32"]
+        sidecar.write_text(json.dumps(meta))
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(stem)]) == DATA_ERROR
+        err = capsys.readouterr().err
+        assert "'patchshift-dataset-v1'" in err and err.count("\n") == 1
+
 
 class TestComplexity:
     def test_table_lists_all_kinds(self, capsys):

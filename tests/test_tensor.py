@@ -65,6 +65,25 @@ class TestForwardValues:
         y = affine(None, x, w, b)
         np.testing.assert_allclose(y.data, x.data @ w.data.T + b.data, atol=1e-15)
 
+    def test_affine_on_leading_clip_axes(self):
+        # (2, 3, 4, 5): two leading clip axes over rows of 5 features
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(2, 3, 4, 5))
+        w = Tensor(rng.normal(size=(6, 5)))
+        b = Tensor(rng.normal(size=6))
+        want = x @ w.data.T + b.data
+        tape = Tape()
+        y = affine(tape, Tensor(x), w, b)
+        assert y.shape == (2, 3, 4, 6)
+        assert np.abs(y.data - want).max() <= 1e-13 * np.abs(want).max()
+        assert tape.replay_matches()
+        for arg in range(3):
+            def f(tape, t, arg=arg):
+                args = [Tensor(x), w, b]
+                args[arg] = t
+                return mean(tape, gelu(tape, affine(tape, *args)), (0, 1, 2, 3))
+            assert grad_check(f, [Tensor(x), w, b][arg]) < 1e-7
+
     def test_affine_shape_errors(self):
         x = Tensor(np.zeros((2, 3)))
         with pytest.raises(ShapeError):
