@@ -1,7 +1,10 @@
 """Command-line front end: pattern inspection, data generation, training runs,
 checkpoint evaluation, and complexity reports.
 
-Exit codes: 0 success, 2 usage/config problems, 3 data/shape mismatches.
+Exit codes: 0 success, 2 usage/config problems, 3 data/shape mismatches.  A
+shape that does not fit exits 3 whether it comes from the data or from the
+run config (say a window that does not tile the token grid, or heads that
+do not divide dim).
 Run configs are JSON; any leaf can be overridden with dotted flags, e.g.
 ``patchshift run cfg.json --model.pattern C9 --train.lr 0.1``.
 """

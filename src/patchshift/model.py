@@ -56,9 +56,13 @@ VARIANTS = ("avgpool", "patch_only", "channel_only", "combined")
 
 FFN_RATIO = 4
 INIT_STD = 0.02
-# Token sites (clips x T x grid_h x grid_w) one training tape or inference
-# forward holds at most: bounds tape memory while batching small clips.
-TAPE_SITES = 64
+# Token sites (clips x T x grid_h x grid_w) one chunk holds at most, which
+# batches small clips while bounding memory.  A training chunk keeps its
+# whole tape alive until the backward; a tape-free forward of evaluate frees
+# each activation once the next layer has read it and holds about a fifth of
+# a training chunk's memory per site, so its bound is larger.
+TAPE_SITES = 128
+FORWARD_SITES = 256
 CHECKPOINT_FORMAT = "patchshift-checkpoint-v2"
 
 
@@ -289,16 +293,17 @@ def encoder_block(
     return add(tape, h, f)
 
 
-def _clip_chunks(model: Model, samples):
+def _clip_chunks(model: Model, samples, sites: int):
     """(videos, labels) chunks of (video, label) pairs, stacked on a clip axis.
 
-    A chunk holds at most TAPE_SITES token sites (at least one clip), which
-    bounds what one tape holds while still running many small clips as one
+    A chunk holds at most `sites` token sites (at least one clip), so many
+    small clips run as one forward while the caller bounds what a chunk
+    holds: TAPE_SITES for a training tape, FORWARD_SITES for a tape-free
     forward.
     """
     cfg = model.config
     t_len, grid_h, grid_w = cfg.token_extents()
-    size = max(1, TAPE_SITES // (t_len * grid_h * grid_w))
+    size = max(1, sites // (t_len * grid_h * grid_w))
     expected = (cfg.frames, cfg.height, cfg.width, 3)
     for lo in range(0, len(samples), size):
         part = samples[lo : lo + size]
@@ -340,15 +345,16 @@ def train_step(
 ) -> float:
     """One SGD step on a batch of (video, label) pairs; returns mean loss.
 
-    Clips run in chunks (see _clip_chunks), one tape each; the chunk
-    gradients, weighted by their share of the batch, are summed in a fixed
-    order.  With lr 0 the parameters are reproduced bit-exactly.
+    Clips run in chunks of at most TAPE_SITES token sites (see
+    _clip_chunks), one tape each; the chunk gradients, weighted by their
+    share of the batch, are summed in a fixed order.  With lr 0 the
+    parameters are reproduced bit-exactly.
     """
     if not batch:
         raise ContractError("empty batch")
     sums: dict[str, np.ndarray] = {}
     loss = 0.0
-    for videos, labels in _clip_chunks(model, batch):
+    for videos, labels in _clip_chunks(model, batch, TAPE_SITES):
         share = len(labels) / len(batch)
         loss += share * _add_chunk_gradient(model, videos, labels, share, sums)
 
@@ -364,14 +370,18 @@ def train_step(
 
 
 def evaluate(model: Model, samples) -> float:
-    """Top-1 accuracy of argmax predictions over (video, label) pairs."""
+    """Top-1 accuracy of argmax predictions over (video, label) pairs.
+
+    Clips run as tape-free forwards in chunks of at most FORWARD_SITES
+    token sites (see _clip_chunks).
+    """
     if not samples:
         raise ContractError("no samples to evaluate")
     classes = model.config.classes
     if any(not 0 <= label < classes for _, label in samples):
         raise ContractError(f"label out of range [0, {classes})")
     hits = 0
-    for videos, labels in _clip_chunks(model, samples):
+    for videos, labels in _clip_chunks(model, samples, FORWARD_SITES):
         logits = model.logits(None, videos)
         hits += int((np.argmax(logits.data, axis=-1) == labels).sum())
     return hits / len(samples)

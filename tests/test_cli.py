@@ -184,6 +184,12 @@ class TestRun:
         err = capsys.readouterr().err
         assert "window must be two positive ints" in err and err.count("\n") == 1
 
+    def test_heads_not_dividing_dim_is_data_error(self, capsys, tmp_path):
+        cfg = run_config(tmp_path)  # dim 8
+        assert main(["run", str(cfg), "--model.heads", "3"]) == DATA_ERROR
+        err = capsys.readouterr().err
+        assert err == "error: heads 3 must divide dim 8\n"
+
     def test_non_utf8_pattern_file_is_usage_error(self, capsys, tmp_path):
         src = tmp_path / "bad.txt"
         src.write_bytes(b"\xff\xfe 1 1\n0\n")

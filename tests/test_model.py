@@ -8,6 +8,7 @@ import pytest
 from patchshift.errors import ContractError, ShapeError
 from patchshift.model import (
     CHECKPOINT_FORMAT,
+    FORWARD_SITES,
     INIT_STD,
     TAPE_SITES,
     VARIANTS,
@@ -485,14 +486,15 @@ class TestClipBatch:
             np.testing.assert_array_equal(z.data[i], one.data)
 
     def test_chunked_gradient_is_mean_of_per_clip_gradients(self):
-        # 16 token sites per clip, so a chunk holds 4 clips and a batch of 7
-        # runs as chunks of 4 and 3.
+        # A tape holds k clips, so a batch of 2k - 1 runs as one full chunk
+        # and one ragged chunk of k - 1.
         cfg = tiny_config(variant="combined", depth=3, classes=3)
-        t_len, gh, gw = cfg.token_extents()
-        assert TAPE_SITES // (t_len * gh * gw) == 4
+        k = TAPE_SITES // math.prod(cfg.token_extents())
+        assert k >= 2
         rng = np.random.default_rng(23)
         m = trained_like(cfg, seed=13)
-        batch = [(rng.random((cfg.frames, cfg.height, cfg.width, 3)), i % 3) for i in range(7)]
+        batch = [(rng.random((cfg.frames, cfg.height, cfg.width, 3)), i % 3)
+                 for i in range(2 * k - 1)]
 
         expected = {name: np.zeros(t.shape) for name, t in m.params.items()}
         losses = []
@@ -513,12 +515,48 @@ class TestClipBatch:
             assert np.abs(velocity[name] - g).max() <= 1e-12 * np.abs(g).max(), name
 
     def test_evaluate_matches_per_clip_argmax(self):
+        # A forward holds k clips: two full chunks and a ragged one of 3.
         rng = np.random.default_rng(24)
         cfg = tiny_config(classes=3)
+        k = FORWARD_SITES // math.prod(cfg.token_extents())
+        assert k > 3
         m = trained_like(cfg, seed=14)
-        samples = [(rng.random((cfg.frames, cfg.height, cfg.width, 3)), i % 3) for i in range(9)]
+        samples = [(rng.random((cfg.frames, cfg.height, cfg.width, 3)), i % 3)
+                   for i in range(2 * k + 3)]
         hits = sum(int(np.argmax(m.logits(None, Tensor(v)).data) == y) for v, y in samples)
         assert evaluate(m, samples) == hits / len(samples)
+
+    @pytest.mark.parametrize("overrides, count", [
+        ({}, 37),  # 16 sites: many clips per chunk, ragged last chunks
+        (dict(frames=8, height=32, width=32), 3),  # 512 sites: one clip per chunk
+    ], ids=["small_clips", "large_clips"])
+    def test_chunk_plan(self, monkeypatch, overrides, count):
+        cfg = tiny_config(**overrides)
+        sites = math.prod(cfg.token_extents())
+        m = Model.init(cfg, seed=0)
+        rng = np.random.default_rng(26)
+        samples = [(rng.random((cfg.frames, cfg.height, cfg.width, 3)), i % 2)
+                   for i in range(count)]
+        calls = []
+        logits = Model.logits
+
+        def counting(self, tape, video):
+            calls.append((tape is None, video.shape[0]))
+            return logits(self, tape, video)
+
+        monkeypatch.setattr(Model, "logits", counting)
+
+        def plan(bound):
+            per_chunk = max(1, bound // sites)
+            return [min(per_chunk, count - lo) for lo in range(0, count, per_chunk)]
+
+        evaluate(m, samples)
+        assert calls == [(True, n) for n in plan(FORWARD_SITES)]
+        assert len(calls) == math.ceil(count / max(1, FORWARD_SITES // sites))
+        calls.clear()
+        train_step(m, samples, lr=0.0)
+        assert calls == [(False, n) for n in plan(TAPE_SITES)]
+        assert len(calls) == math.ceil(count / max(1, TAPE_SITES // sites))
 
     def test_mismatched_clip_shape_is_shape_error(self):
         rng = np.random.default_rng(25)
